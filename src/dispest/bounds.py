@@ -9,6 +9,8 @@ variances are
     B_R = (tr[G Re X] + tr|G Im X|) / M,   X = (J + A)^-1
 
 with weight G, prior Fisher matrix A and shot count M.  B_MI = max(B_S, B_R).
+probe_fisher (closed forms for the probe families) and evaluate_bounds
+broadcast over parameter grids; gaussian_fisher serves arbitrary states.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (GaussianState, displace, make_squeezed_thermal,
-                       make_tmst, symplectic_form, vacuum)
+from .gaussian import (GaussianState, make_squeezed_thermal, make_tmst,
+                       symplectic_form, vacuum)
 
 _PURE_TOL = 1e-9
-_EIG_CLIP = 1e-14
+_KINDS = ("coherent", "single", "tmst", "tmst_asym")
 
 
 class RLDUnavailableError(RuntimeError):
@@ -61,20 +63,20 @@ class BoundQuery:
     shots: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("coherent", "single", "tmst", "tmst_asym"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown probe kind '{self.kind}'")
         if self.kind == "tmst_asym" and self.N2 is None:
             raise ValueError("tmst_asym needs N2")
-        if self.r < 0 or self.N < 0 or (self.N2 is not None and self.N2 < 0):
-            raise ValueError("r and N must be nonnegative")
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError("prior width must be positive")
+        _check_probe(self.r, self.N, self.N2)
+        if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("prior width must be positive and finite")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
         if self.weight is not None:
             w = np.asarray(self.weight, dtype=float)
-            if w.shape != (2, 2) or np.linalg.eigvalsh(0.5 * (w + w.T)).min() <= 0:
-                raise ValueError("weight must be 2x2 positive definite")
+            if w.shape != (2, 2) or not np.all(np.isfinite(w)) \
+                    or np.linalg.eigvalsh(0.5 * (w + w.T)).min() <= 0:
+                raise ValueError("weight must be finite, 2x2 and positive definite")
 
     def probe_state(self) -> GaussianState:
         if self.kind == "coherent":
@@ -97,6 +99,13 @@ class BoundReport:
     scheme_variance: float | None = None
     gap: float | None = None
     query: BoundQuery | None = None
+
+
+def _check_probe(r, N, N2=None):
+    """Squeezing and thermal photon numbers must be finite and nonnegative."""
+    for value in (r, N, 0.0 if N2 is None else N2):
+        if not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
+            raise ValueError("r and N must be finite and nonnegative")
 
 
 def _hermitian_pinv(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -129,27 +138,90 @@ def gaussian_fisher(state: GaussianState, mode: int = 0) -> FisherMatrices:
     return FisherMatrices(H=H, j_inv=j_inv, pure=pure, mode=mode)
 
 
-def _abs_eig_2x2(mat: np.ndarray) -> float:
-    """Sum of singular values of a 2x2 matrix (trace norm), eigenvalues clipped."""
-    g = mat.conj().T @ mat
-    m = 0.5 * (g[0, 0] + g[1, 1]).real
-    det = (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real
-    spread = np.sqrt(max(m * m - det, 0.0))
-    lo, hi = m - spread, m + spread
-    lo = 0.0 if lo < _EIG_CLIP else lo
-    hi = 0.0 if hi < _EIG_CLIP else hi
-    return float(np.sqrt(hi) + np.sqrt(lo))
+def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
+    """SLD matrix H and inverse RLD matrix J^-1 of a probe family for displacing
+    mode 0, each of shape (..., 2, 2); broadcasts over r, N and N2.
+
+    Written in the Williamson frame, nu_i = N_i + 1/2, with V the displaced
+    mode's columns of S^-1: H = V^T diag(1/nu) V and J = V^T L V, where
+    L_i = (nu_i I - (i/2) Omega)/p_i and p_i = nu_i^2 - 1/4 = N_i (N_i + 1).
+    Two-mode J^-1 = (a I + (b/2) i Omega)/q is the 2x2 inverse multiplied
+    through by p_1 p_2, finite for pure inputs; a and q are sums of
+    nonnegative terms, so nothing cancels at large r.  q = 0 only for the
+    pure probe at r = 0, where J^-1 takes the pure-probe value, zero.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown probe kind '{kind}'")
+    _check_probe(r, N, N2)
+    r, n1 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(N, dtype=float))
+    if kind == "coherent":
+        r, n1 = np.zeros_like(r), np.zeros_like(n1)
+    n2 = n1 if N2 is None else np.asarray(N2, dtype=float)
+    nu1, nu2, zero = n1 + 0.5, n2 + 0.5, np.zeros(np.broadcast(n1, n2).shape)
+    if kind in ("coherent", "single"):
+        e = np.exp(2.0 * r)
+        return (_mat(1.0 / (nu1 * e), zero, zero, e / nu1),
+                _mat(nu1 * e, 0.5j + zero, -0.5j + zero, nu1 / e))
+    c2, s2 = np.cosh(r) ** 2, np.sinh(r) ** 2
+    p1, p2 = n1 * (n1 + 1.0), n2 * (n2 + 1.0)
+    h = c2 / nu1 + s2 / nu2
+    a = c2 * nu1 * p2 + s2 * nu2 * p1
+    b = p2 + s2 * (p2 - p1)
+    q = c2 * c2 * p2 + s2 * s2 * p1 + 2.0 * c2 * s2 * (nu1 * nu2 + 0.25)
+    q = np.where(q > 0, q, np.inf)
+    return _mat(h, zero, zero, h), _mat(a / q, 0.5j * b / q, -0.5j * b / q, a / q)
+
+
+def _mat(m00, m01, m10, m11) -> np.ndarray:
+    """Stack four broadcastable entries into matrices of shape (..., 2, 2)."""
+    entries = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def _trace_prod(G, X):
+    """tr[G X] over the last two axes; G = None is the identity."""
+    return np.einsum("...ij,...ji->...", np.eye(2) if G is None else G, X)
+
+
+def _sld(H, prior, weight, shots):
+    """tr[G (H + A)^-1] / M; +inf where H + A is singular."""
+    T = H if prior is None else H + prior
+    det = np.linalg.det(T)
+    singular = np.abs(det) < 1e-300
+    T = np.where(singular[..., None, None], np.eye(2), T)
+    return np.where(singular, np.inf, _trace_prod(weight, np.linalg.inv(T))) / shots
+
+
+def _rld(j_inv, prior, weight, shots):
+    """(tr[G Re X] + tr|G Im X|) / M with X = (J + A)^-1 = (I + J^-1 A)^-1 J^-1;
+    the 2x2 trace norm of Y is sqrt(|Y|_F^2 + 2 |det Y|)."""
+    X = j_inv
+    if prior is not None:
+        K = np.eye(2) + j_inv @ prior
+        if np.any(np.abs(np.linalg.det(K)) < 1e-14):
+            raise RLDUnavailableError("RLD bound unavailable: singular J + A")
+        X = np.linalg.solve(K, j_inv)
+        X = 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+    Y = X.imag if weight is None else weight @ X.imag
+    norm = np.sqrt((Y * Y).sum(axis=(-2, -1)) + 2.0 * np.abs(np.linalg.det(Y)))
+    return (_trace_prod(weight, X.real) + norm) / shots
+
+
+def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
+    """B_S, B_R, B_MI = max(B_S, B_R) and the branch ('RLD' where B_R > B_S)
+    from stacked Fisher matrices (..., 2, 2).  Broadcasts over delta, the
+    Gaussian prior's width (None: flat prior), and the weight G."""
+    prior = None if delta is None else prior_fisher_gaussian(delta)
+    b_s = _sld(H, prior, weight, shots)
+    b_r = _rld(j_inv, prior, weight, shots)
+    rld = b_r > b_s
+    return b_s, b_r, np.where(rld, b_r, b_s), np.where(rld, "RLD", "SLD")
 
 
 def bound_sld(fm: FisherMatrices, weight: np.ndarray | None = None,
               prior: np.ndarray | None = None, shots: int = 1) -> float:
     """SLD Cramer-Rao bound tr[G (H + A)^-1] / M; +inf when H + A is singular."""
-    A = np.zeros((2, 2)) if prior is None else np.asarray(prior, dtype=float)
-    G = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
-    total = fm.H + A
-    if abs(np.linalg.det(total)) < 1e-300:
-        return float("inf")
-    return float(np.trace(G @ np.linalg.inv(total)).real) / shots
+    return float(_sld(fm.H, prior, weight, shots))
 
 
 def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
@@ -159,82 +231,55 @@ def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
     X is built from the stored J^-1 as (I + J^-1 A)^-1 J^-1, which stays finite
     for pure probes where J itself diverges.
     """
-    G = np.eye(2) if weight is None else np.asarray(weight, dtype=float)
-    if prior is None:
-        X = fm.j_inv
-    else:
-        A = np.asarray(prior, dtype=complex)
-        lhs = np.eye(2) + fm.j_inv @ A
-        if abs(np.linalg.det(lhs)) < 1e-14:
-            raise RLDUnavailableError("RLD bound unavailable: singular J + A")
-        X = np.linalg.solve(lhs, fm.j_inv)
-        X = 0.5 * (X + X.conj().T)
-    real_part = float(np.trace(G @ X.real))
-    imag_part = _abs_eig_2x2(G @ X.imag)
-    return (real_part + imag_part) / shots
+    return float(_rld(fm.j_inv, prior, weight, shots))
 
 
-def thresholds(N: float) -> tuple[float, float]:
+def thresholds(N):
     """Squeezing thresholds (r_ths, r_sql) of the symmetric two-mode probe.
 
     r_ths = arccosh(2N+1)/2 is where the most-informative branch switches from
     RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 is where the double-homodyne
-    scheme starts to beat the standard quantum limit.
+    scheme starts to beat the standard quantum limit.  Broadcasts over N.
     """
-    if N < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    _check_probe(0.0, N)
     r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
     r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
-    return float(r_ths), float(r_sql)
+    return r_ths, r_sql
 
 
-def scheme_variance_sum(r: float, N: float,
-                        jitter: tuple[float, float] | None = None) -> float:
-    """Variance sum 2(2N+1)e^{-2r} of the double-homodyne scheme.
-
-    An imperfect displacement with Gaussian jitter (dq^2, dp^2) adds its
-    variances on top.
-    """
-    if r < 0 or N < 0:
-        raise ValueError("r and N must be nonnegative")
+def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None):
+    """Variance sum 2(N + N2 + 1)e^{-2r} of the double-homodyne scheme, which
+    is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
+    and N2.  Gaussian displacement jitter (dq^2, dp^2) adds its variances."""
+    _check_probe(r, N, N2)
     extra = sum(jitter) if jitter is not None else 0.0
-    return 2.0 * (2.0 * N + 1.0) * np.exp(-2.0 * r) + extra
+    n = 2.0 * N if N2 is None else N + N2
+    return 2.0 * (n + 1.0) * np.exp(-2.0 * np.asarray(r, dtype=float)) + extra
 
 
-def _tmst_flat_bounds(r: float, N: float) -> tuple[float, float, float, str]:
-    """Closed-form flat-prior bounds of the symmetric two-mode probe.
-
-    The RLD value for a pure probe (N = 0) is the N -> 0+ limit, zero, so the
-    most informative branch is the SLD one on the whole N = 0 line.
-    """
-    b_s = (2.0 * N + 1.0) / np.cosh(2.0 * r)
-    if N == 0:
-        b_r = 0.0
-    else:
-        b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * np.cosh(2.0 * r) - 1.0)
-    r_ths, _ = thresholds(N)
-    if r < r_ths:
-        return b_s, b_r, b_r, "RLD"
-    return b_s, b_r, b_s, "SLD"
-
-
-def gap_D(r: float, N: float) -> float:
+def gap_D(r, N):
     """Relative gap (E - B_MI)/B_MI between the scheme variance sum and the
-    flat-prior most-informative bound; equals e^{-4r} on the N = 0 line."""
-    if r < 0 or N < 0:
-        raise ValueError("r and N must be nonnegative")
-    _, _, b_mi, _ = _tmst_flat_bounds(r, N)
+    flat-prior most-informative bound; equals e^{-4r} on the N = 0 line.
+    Broadcasts over r and N.  Uses the paper's closed forms as written, since
+    at large r the gap is a difference of nearly equal terms."""
+    _check_probe(r, N)
+    r, N = np.asarray(r, dtype=float), np.asarray(N, dtype=float)
+    c = np.cosh(2.0 * r)
+    b_s = (2.0 * N + 1.0) / c
+    with np.errstate(invalid="ignore"):  # B_R is 0/0 only at r = N = 0
+        b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * c - 1.0)
+    b_mi = np.fmax(b_s, b_r)
     E = scheme_variance_sum(r, N)
-    return float((E - b_mi) / b_mi)
+    return ((E - b_mi) / b_mi)[()]
 
 
-def prior_fisher_gaussian(delta: float) -> np.ndarray:
-    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0)."""
-    if np.isinf(delta):
-        return np.zeros((2, 2))
-    if not delta > 0:
+def prior_fisher_gaussian(delta):
+    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0);
+    zero for delta = inf.  Broadcasts over delta, giving shape (..., 2, 2)."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(delta > 0):
         raise ValueError("prior width must be positive")
-    return np.eye(2) / (delta * delta)
+    return np.eye(2) / (delta * delta)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -247,11 +292,12 @@ class ScalingFactors:
     mse_kc: float
 
 
-def scaling_factors(var0: float, delta: float) -> ScalingFactors:
+def scaling_factors(var0, delta: float) -> ScalingFactors:
     """Scalings K_c = D^2/(1+D^2) and K_min = D^2/(Var0+D^2), with the averaged
     two-parameter MSE each achieves when the unscaled per-parameter variance
-    is Var0."""
-    if not var0 > 0:
+    is Var0.  Broadcasts over Var0."""
+    var0 = np.asarray(var0, dtype=float)
+    if not np.all(var0 > 0):
         raise ValueError("var0 must be positive")
     if np.isinf(delta):
         return ScalingFactors(1.0, 1.0, 2.0 * var0, 2.0 * var0)
@@ -262,7 +308,7 @@ def scaling_factors(var0: float, delta: float) -> ScalingFactors:
     k_min = d2 / (var0 + d2)
     mse_min = 2.0 * var0 * d2 / (var0 + d2)
     mse_kc = 2.0 * d2 * (1.0 + d2 * var0) / (1.0 + d2) ** 2
-    return ScalingFactors(float(k_c), float(k_min), float(mse_min), float(mse_kc))
+    return ScalingFactors(k_c, k_min, mse_min, mse_kc)
 
 
 def bound_most_informative(query: BoundQuery) -> BoundReport:
@@ -273,21 +319,9 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
     For pure two-mode probes B_R is the zero N -> 0+ limit, so B_MI follows
     the SLD branch there.
     """
-    probe = query.probe_state()
-    fm = gaussian_fisher(probe, mode=0)
-    prior = None if query.delta is None else prior_fisher_gaussian(query.delta)
-
-    b_s = bound_sld(fm, weight=query.weight, prior=prior, shots=query.shots)
-    if query.kind in ("tmst", "tmst_asym") and fm.pure:
-        b_r = 0.0
-    else:
-        b_r = bound_rld(fm, weight=query.weight, prior=prior, shots=query.shots)
-
-    if b_r > b_s:
-        b_mi, branch = b_r, "RLD"
-    else:
-        b_mi, branch = b_s, "SLD"
-
+    H, j_inv = probe_fisher(query.kind, query.r, query.N, query.N2)
+    b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, query.delta, query.weight,
+                                             query.shots)
     r_ths = r_sql = scheme_variance = gap = None
     if query.kind == "tmst":
         r_ths, r_sql = thresholds(query.N)
@@ -295,5 +329,5 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
         if query.delta is None and query.weight is None and query.shots == 1:
             gap = gap_D(query.r, query.N)
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
-                       branch=branch, r_ths=r_ths, r_sql=r_sql,
+                       branch=str(branch), r_ths=r_ths, r_sql=r_sql,
                        scheme_variance=scheme_variance, gap=gap, query=query)

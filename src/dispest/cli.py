@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -17,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .bounds import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     gap_D, scaling_factors, scheme_variance_sum)
+                     evaluate_bounds, gap_D, probe_fisher, scaling_factors,
+                     scheme_variance_sum)
 from .fock import PureStateError, TruncationError
-from .gaussian import make_tmst
+from .gaussian import tmst_cov
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme
-from .witness import duan_check
+from .witness import duan_lhs
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
 
@@ -50,6 +52,14 @@ def _emit_record(command: str, config: dict, results: dict, started: float) -> d
     }
 
 
+def finite(text: str) -> float:
+    """argparse type: a finite real number (rejects nan and +-inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
 def _write_csv(path, header_cols, rows, command: str, config: dict):
     lines = [f"# tool: dispest {__version__}",
              f"# command: {command}",
@@ -65,23 +75,22 @@ def _write_csv(path, header_cols, rows, command: str, config: dict):
             fh.write(text)
 
 
-def _parse_weight(text: str) -> np.ndarray:
+def _numbers(text: str, count: int, option: str) -> list[float]:
     try:
-        g11, g12, g22 = (float(x) for x in text.split(","))
+        values = [finite(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError("--G expects three comma-separated numbers g11,g12,g22")
+        values = []
+    if len(values) != count:
+        raise UsageError(f"{option} expects {count} comma-separated finite numbers")
+    return values
+
+
+def _parse_weight(text: str) -> np.ndarray:
+    g11, g12, g22 = _numbers(text, 3, "--G")
     return np.array([[g11, g12], [g12, g22]])
 
 
-def _parse_jitter(text: str) -> tuple[float, float]:
-    try:
-        dq2, dp2 = (float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError("--jitter expects two comma-separated variances dq2,dp2")
-    return (dq2, dp2)
-
-
-def _probe_query(args) -> BoundQuery:
+def _probe_query(args, r: float = 0.0, weight=None, shots: int = 1) -> BoundQuery:
     kind = args.probe.replace("-", "_")
     if kind == "tmst_asym":
         if args.N1 is None or args.N2 is None:
@@ -93,20 +102,16 @@ def _probe_query(args) -> BoundQuery:
         if args.N1 is not None or args.N2 is not None:
             raise UsageError("--N1/--N2 are only valid with --probe tmst-asym")
         n, n2 = (args.N if args.N is not None else 0.0), None
-    r = args.r if args.r is not None else 0.0
     if kind == "coherent" and (r != 0.0 or n != 0.0):
         raise UsageError("a coherent probe takes no --r or --N")
-    try:
-        return BoundQuery(kind=kind, r=r, N=n, N2=n2, delta=args.delta,
-                          weight=_parse_weight(args.G) if args.G else None,
-                          shots=args.M)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return BoundQuery(kind=kind, r=r, N=n, N2=n2, delta=args.delta,
+                      weight=weight, shots=shots)
 
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
-    query = _probe_query(args)
+    query = _probe_query(args, args.r if args.r is not None else 0.0,
+                         _parse_weight(args.G) if args.G else None, args.M)
     report = bound_most_informative(query)
     config = {
         "probe": args.probe, "r": query.r, "N": query.N, "N2": query.N2,
@@ -131,7 +136,7 @@ def _parse_scaling(text: str) -> tuple[str, float | None]:
         return text, None
     if text.startswith("K="):
         try:
-            return "explicit", float(text[2:])
+            return "explicit", finite(text[2:])
         except ValueError:
             pass
     raise UsageError("--scaling must be none, coherent, optimal or K=<value>")
@@ -144,25 +149,19 @@ def cmd_simulate(args) -> int:
     if not args.baseline and (args.r is None or args.N is None):
         raise UsageError("simulate needs --r and --N (or --baseline)")
     scaling, k_explicit = _parse_scaling(args.scaling)
-    try:
-        cfg = EstimationConfig(
-            shots=args.shots, seed=args.seed, r=args.r, N=args.N, N2=args.N2,
-            q0=args.q0, p0=args.p0, prior_delta=args.prior_delta,
-            scaling=scaling, K=k_explicit,
-            jitter=_parse_jitter(args.jitter) if args.jitter else None,
-            workers=args.workers)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = EstimationConfig(
+        shots=args.shots, seed=args.seed, r=args.r, N=args.N, N2=args.N2,
+        q0=args.q0, p0=args.p0, prior_delta=args.prior_delta,
+        scaling=scaling, K=k_explicit,
+        jitter=tuple(_numbers(args.jitter, 2, "--jitter")) if args.jitter else None,
+        workers=args.workers)
     runner = run_baseline_heterodyne if args.baseline else run_scheme
     result = runner(cfg, record_shots=args.dump_shots is not None)
 
-    if args.baseline:
-        bound = 2.0 if cfg.prior_delta is None else \
-            2.0 * cfg.prior_delta ** 2 / (1.0 + cfg.prior_delta ** 2)
-    else:
-        query = BoundQuery(kind="tmst" if cfg.N2 is None else "tmst_asym",
-                           r=cfg.r, N=cfg.N, N2=cfg.N2, delta=cfg.prior_delta)
-        bound = bound_most_informative(query).b_mi
+    kind = "coherent" if args.baseline else "tmst" if cfg.N2 is None else "tmst_asym"
+    bound = bound_most_informative(BoundQuery(
+        kind=kind, r=cfg.r or 0.0, N=cfg.N or 0.0, N2=cfg.N2,
+        delta=cfg.prior_delta)).b_mi
 
     config = {
         "baseline": args.baseline, "r": cfg.r, "N": cfg.N, "N2": cfg.N2,
@@ -200,6 +199,8 @@ def cmd_simulate(args) -> int:
 def _grid(args) -> np.ndarray:
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
+    if args.r_min < 0:
+        raise UsageError("--r-min must be nonnegative")
     if args.r_max <= args.r_min:
         raise UsageError("--r-max must exceed --r-min")
     return np.linspace(args.r_min, args.r_max, args.steps)
@@ -218,62 +219,58 @@ def cmd_figure(args) -> int:
         ns = (0.0, 0.5, 2.0)
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
-        rows = [[r] + [gap_D(r, n) for n in ns] for r in grid]
+        columns = [grid] + [gap_D(grid, n) for n in ns]
         _write_csv(os.path.join(out, "fig2.csv"),
-                   ["r", "D_N0", "D_N0.5", "D_N2"], rows, "figure", config)
+                   ["r", "D_N0", "D_N0.5", "D_N2"], _rows(columns), "figure", config)
         print(os.path.join(out, "fig2.csv"))
         return 0
 
-    deltas = tuple(float(x) for x in args.deltas.split(",")) if args.deltas \
+    deltas = tuple(finite(x) for x in args.deltas.split(",")) if args.deltas \
         else FIG3_DELTAS
     n_th = args.N if args.N is not None else 1.0
+    fisher = probe_fisher("tmst", grid, n_th)
+    var0 = scheme_variance_sum(grid, n_th) / 2.0
     for delta in deltas:
         config = {"name": "fig3", "delta": delta, "N": n_th,
                   "r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
-        b_sql = 2.0 * delta ** 2 / (1.0 + delta ** 2)
-        rows = []
-        for r in grid:
-            var0 = scheme_variance_sum(r, n_th) / 2.0
-            factors = scaling_factors(var0, delta)
-            b_mi = bound_most_informative(
-                BoundQuery(kind="tmst", r=r, N=n_th, delta=delta)).b_mi
-            rows.append([r, factors.mse_min, factors.mse_kc, b_mi, b_sql])
+        b_mi = evaluate_bounds(*fisher, delta)[2]
+        factors = scaling_factors(var0, delta)
+        b_sql = np.full_like(grid, 2.0 * delta ** 2 / (1.0 + delta ** 2))
         name = f"fig3_{delta:g}.csv"
         _write_csv(os.path.join(out, name),
                    ["r", "mse_Kmin", "mse_Kc", "B_MI", "B_SQL"],
-                   rows, "figure", config)
+                   _rows([grid, factors.mse_min, factors.mse_kc, b_mi, b_sql]),
+                   "figure", config)
         print(os.path.join(out, name))
     return 0
 
 
-_SWEEP_TMST_ONLY = ("scheme_variance", "gap", "duan_lhs")
+def _rows(columns) -> list:
+    return np.column_stack(columns).tolist()
 
 
 def cmd_sweep(args) -> int:
     grid = _grid(args)
     quantity = args.quantity
-    if quantity in _SWEEP_TMST_ONLY and args.probe != "tmst":
+    if quantity in ("scheme_variance", "gap", "duan_lhs") and args.probe != "tmst":
         raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
-
-    def evaluate(r: float) -> float:
-        if quantity == "scheme_variance":
-            return scheme_variance_sum(r, args.N or 0.0)
-        if quantity == "gap":
-            return gap_D(r, args.N or 0.0)
-        if quantity == "duan_lhs":
-            return duan_check(make_tmst(r, args.N or 0.0), 1.0).lhs
-        ns = argparse.Namespace(probe=args.probe, r=r, N=args.N, N1=args.N1,
-                                N2=args.N2, delta=args.delta, G=None, M=1)
-        report = bound_most_informative(_probe_query(ns))
-        return {"b_sld": report.b_sld, "b_rld": report.b_rld,
-                "b_mi": report.b_mi}[quantity]
+    query = _probe_query(args)
+    if quantity == "scheme_variance":
+        values = scheme_variance_sum(grid, query.N)
+    elif quantity == "gap":
+        values = gap_D(grid, query.N)
+    elif quantity == "duan_lhs":
+        values = duan_lhs(tmst_cov(grid, query.N))
+    else:
+        H, j_inv = probe_fisher(query.kind, grid, query.N, query.N2)
+        b_s, b_r, b_mi, _ = evaluate_bounds(H, j_inv, query.delta)
+        values = {"b_sld": b_s, "b_rld": b_r, "b_mi": b_mi}[quantity]
 
     config = {"quantity": quantity, "probe": args.probe, "N": args.N,
               "N1": args.N1, "N2": args.N2, "delta": args.delta,
               "r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
-    rows = [[r, evaluate(r)] for r in grid]
     path = args.out if args.out else None
-    _write_csv(path, ["r", quantity], rows, "sweep", config)
+    _write_csv(path, ["r", quantity], _rows([grid, values]), "sweep", config)
     return 0
 
 
@@ -282,16 +279,21 @@ def build_parser() -> _Parser:
                      description="Bounds and simulations for joint estimation "
                                  "of phase-space displacements")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    probe = _Parser(add_help=False)
+    for name in ("--N", "--N1", "--N2"):
+        probe.add_argument(name, type=finite, default=None)
+    probe.add_argument("--delta", type=finite, default=None,
+                       help="Gaussian prior standard deviation")
+    grid = _Parser(add_help=False)
+    grid.add_argument("--r-min", type=finite, default=0.0)
+    grid.add_argument("--r-max", type=finite, default=3.0)
+    grid.add_argument("--steps", type=int, default=200)
 
-    pb = sub.add_parser("bounds", help="evaluate Cramer-Rao bounds for a probe")
+    pb = sub.add_parser("bounds", parents=[probe],
+                        help="evaluate Cramer-Rao bounds for a probe")
     pb.add_argument("--probe", required=True,
                     choices=["coherent", "single", "tmst", "tmst-asym"])
-    pb.add_argument("--r", type=float, default=None)
-    pb.add_argument("--N", type=float, default=None)
-    pb.add_argument("--N1", type=float, default=None)
-    pb.add_argument("--N2", type=float, default=None)
-    pb.add_argument("--delta", type=float, default=None,
-                    help="Gaussian prior standard deviation")
+    pb.add_argument("--r", type=finite, default=None)
     pb.add_argument("--M", type=int, default=1, help="number of repetitions")
     pb.add_argument("--G", type=str, default=None,
                     help="weight matrix g11,g12,g22")
@@ -301,14 +303,14 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("simulate", help="Monte Carlo estimation run")
     ps.add_argument("--baseline", action="store_true",
                     help="coherent probe with heterodyne instead of the scheme")
-    ps.add_argument("--r", type=float, default=None)
-    ps.add_argument("--N", type=float, default=None)
-    ps.add_argument("--N2", type=float, default=None)
+    ps.add_argument("--r", type=finite, default=None)
+    ps.add_argument("--N", type=finite, default=None)
+    ps.add_argument("--N2", type=finite, default=None)
     ps.add_argument("--shots", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--q0", type=float, default=None)
-    ps.add_argument("--p0", type=float, default=None)
-    ps.add_argument("--prior-delta", type=float, default=None)
+    ps.add_argument("--q0", type=finite, default=None)
+    ps.add_argument("--p0", type=finite, default=None)
+    ps.add_argument("--prior-delta", type=finite, default=None)
     ps.add_argument("--scaling", type=str, default="none",
                     help="none | coherent | optimal | K=<value>")
     ps.add_argument("--jitter", type=str, default=None, help="dq2,dp2")
@@ -317,32 +319,24 @@ def build_parser() -> _Parser:
                     help="write per-shot CSV to this path")
     ps.set_defaults(func=cmd_simulate)
 
-    pf = sub.add_parser("figure", help="emit figure-reproduction CSV data")
+    pf = sub.add_parser("figure", parents=[grid],
+                        help="emit figure-reproduction CSV data")
     pf.add_argument("name", choices=["fig2", "fig3"])
     pf.add_argument("--out", type=str, default=None,
                     help="output directory (default $DISPEST_OUTPUT_DIR or .)")
-    pf.add_argument("--r-min", type=float, default=0.0)
-    pf.add_argument("--r-max", type=float, default=3.0)
-    pf.add_argument("--steps", type=int, default=200)
-    pf.add_argument("--N", type=float, default=None,
+    pf.add_argument("--N", type=finite, default=None,
                     help="thermal photons for fig3 (default 1)")
     pf.add_argument("--deltas", type=str, default=None,
                     help="comma-separated prior widths for fig3")
     pf.set_defaults(func=cmd_figure)
 
-    pw = sub.add_parser("sweep", help="evaluate one quantity over an r grid")
+    pw = sub.add_parser("sweep", parents=[probe, grid],
+                        help="evaluate one quantity over an r grid")
     pw.add_argument("--quantity", required=True,
                     choices=["b_sld", "b_rld", "b_mi", "scheme_variance",
                              "gap", "duan_lhs"])
     pw.add_argument("--probe", default="tmst",
                     choices=["coherent", "single", "tmst", "tmst-asym"])
-    pw.add_argument("--N", type=float, default=None)
-    pw.add_argument("--N1", type=float, default=None)
-    pw.add_argument("--N2", type=float, default=None)
-    pw.add_argument("--delta", type=float, default=None)
-    pw.add_argument("--r-min", type=float, default=0.0)
-    pw.add_argument("--r-max", type=float, default=3.0)
-    pw.add_argument("--steps", type=int, default=200)
     pw.add_argument("--out", type=str, default=None,
                     help="output CSV path (default stdout)")
     pw.set_defaults(func=cmd_sweep)
@@ -354,13 +348,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PureStateError, RLDUnavailableError, TruncationError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        # the library's input validation raises ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point():

@@ -12,6 +12,8 @@ import numpy as np
 
 VACUUM_VARIANCE = 0.5
 
+# Tolerances scale with max(1, largest entry): entries ~e^{2r} carry rounding
+# of that size, which an absolute tolerance rejects once r passes a few units.
 _SYMMETRY_TOL = 1e-12
 _PHYSICALITY_TOL = 1e-10
 _SYMPLECTIC_TOL = 1e-10
@@ -19,11 +21,11 @@ _SYMPLECTIC_TOL = 1e-10
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
-    omega = np.zeros((2 * modes, 2 * modes))
-    for k in range(modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
+    return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _scale(mat: np.ndarray) -> float:
+    return max(1.0, float(np.abs(mat).max()))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -54,11 +56,14 @@ class GaussianState:
             raise ValueError("mean must have length 2m and cov shape (2m, 2m)")
         if mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean length must be a positive even number")
-        if not np.allclose(cov, cov.T, atol=_SYMMETRY_TOL, rtol=0.0):
+        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+            raise ValueError("mean and covariance must be finite")
+        scale = _scale(cov)
+        if not np.allclose(cov, cov.T, atol=_SYMMETRY_TOL * scale, rtol=0.0):
             raise ValueError("covariance matrix is not symmetric")
         m = mean.size // 2
         herm = cov + 0.5j * symplectic_form(m)
-        if np.linalg.eigvalsh(herm).min() < -_PHYSICALITY_TOL:
+        if np.linalg.eigvalsh(herm).min() < -_PHYSICALITY_TOL * scale:
             raise ValueError("covariance matrix violates the uncertainty principle")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -97,7 +102,8 @@ class SymplecticTransform:
             raise ValueError("S must be square with matching displacement length")
         m = S.shape[0] // 2
         omega = symplectic_form(m)
-        if not np.allclose(S @ omega @ S.T, omega, atol=_SYMPLECTIC_TOL, rtol=0.0):
+        if not np.allclose(S @ omega @ S.T, omega,
+                           atol=_SYMPLECTIC_TOL * _scale(S) ** 2, rtol=0.0):
             raise ValueError("matrix S is not symplectic")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "d", d)
@@ -115,12 +121,16 @@ def _mode_slice(state: GaussianState, mode: int) -> slice:
     return slice(2 * mode, 2 * mode + 2)
 
 
-def _embed(block: np.ndarray, modes: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Place a symplectic block acting on `targets` into an identity on all modes."""
-    S = np.eye(2 * modes)
+def _act(state: GaussianState, block: np.ndarray, targets: tuple[int, ...]) -> GaussianState:
+    """Apply a symplectic block acting on `targets` (identity on other modes)."""
+    for t in targets:
+        _mode_slice(state, t)
+    if len(set(targets)) != len(targets):
+        raise ValueError("a two-mode map needs two distinct modes")
+    S = np.eye(2 * state.modes)
     idx = np.concatenate([[2 * t, 2 * t + 1] for t in targets])
     S[np.ix_(idx, idx)] = block
-    return S
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
 
 
 def vacuum(modes: int = 1) -> GaussianState:
@@ -137,10 +147,7 @@ def make_thermal(N: float, modes: int = 1) -> GaussianState:
 
 def squeeze_single(state: GaussianState, mode: int, r: float) -> GaussianState:
     """Single-mode squeezer; r > 0 reduces Var(p) by e^{-2r} and grows Var(q)."""
-    _mode_slice(state, mode)
-    block = np.diag([np.exp(r), np.exp(-r)])
-    S = _embed(block, state.modes, (mode,))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _act(state, np.diag([np.exp(r), np.exp(-r)]), (mode,))
 
 
 def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
@@ -150,16 +157,10 @@ def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> Gauss
     -C Z off-diagonal (Z = diag(1, -1)), with A = (2N+1)cosh(2r)/2 and
     C = (2N+1)sinh(2r)/2, i.e. q1 - q2 and p1 + p2 are the squeezed pairs.
     """
-    i, j = modes
-    if i == j:
-        raise ValueError("two-mode squeezing needs two distinct modes")
-    _mode_slice(state, i)
-    _mode_slice(state, j)
     Z = np.diag([1.0, -1.0])
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.block([[ch * np.eye(2), -sh * Z], [-sh * Z, ch * np.eye(2)]])
-    S = _embed(block, state.modes, (i, j))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _act(state, block, tuple(modes))
 
 
 def make_squeezed_thermal(r: float, N: float) -> GaussianState:
@@ -167,15 +168,27 @@ def make_squeezed_thermal(r: float, N: float) -> GaussianState:
     return squeeze_single(make_thermal(N, 1), 0, r)
 
 
+def tmst_cov(r, N, N2=None) -> np.ndarray:
+    """Covariance (..., 4, 4) of the two-mode squeezed thermal state, blocks
+    d_i I on the diagonal and -x Z off it (see squeeze_two); broadcasts over
+    r, N and N2 (default N)."""
+    nu1 = np.asarray(N, dtype=float) + 0.5
+    nu2 = nu1 if N2 is None else np.asarray(N2, dtype=float) + 0.5
+    if np.any(nu1 < 0.5) or np.any(nu2 < 0.5):
+        raise ValueError("mean photon numbers must be nonnegative")
+    ch, sh = np.cosh(r), np.sinh(r)
+    d1 = ch * ch * nu1 + sh * sh * nu2
+    d2 = sh * sh * nu1 + ch * ch * nu2
+    x = ch * sh * (nu1 + nu2)
+    d1, d2, x = np.broadcast_arrays(d1, d2, x)
+    z = np.zeros_like(d1)
+    rows = [[d1, z, -x, z], [z, d1, z, x], [-x, z, d2, z], [z, x, z, d2]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
 def make_tmst(r: float, N: float, N2: float | None = None) -> GaussianState:
     """Two-mode squeezed thermal state; pass N2 for an asymmetric thermal input."""
-    if N < 0 or (N2 is not None and N2 < 0):
-        raise ValueError("mean photon numbers must be nonnegative")
-    n2 = N if N2 is None else N2
-    dim = 4
-    cov = np.diag([(2 * N + 1) / 2.0, (2 * N + 1) / 2.0,
-                   (2 * n2 + 1) / 2.0, (2 * n2 + 1) / 2.0])
-    return squeeze_two(GaussianState(np.zeros(dim), cov), (0, 1), r)
+    return GaussianState(np.zeros(4), tmst_cov(r, N, N2))
 
 
 def displace(state: GaussianState, mode: int, q0: float, p0: float) -> GaussianState:
@@ -188,10 +201,8 @@ def displace(state: GaussianState, mode: int, q0: float, p0: float) -> GaussianS
 
 def phase_rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
     """Phase-space rotation of one mode by angle theta."""
-    _mode_slice(state, mode)
     c, s = np.cos(theta), np.sin(theta)
-    S = _embed(np.array([[c, s], [-s, c]]), state.modes, (mode,))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _act(state, np.array([[c, s], [-s, c]]), (mode,))
 
 
 def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) -> GaussianState:
@@ -203,15 +214,8 @@ def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) ->
     p-squeezed output at mode i and a q-squeezed output at mode j, both
     displaced by the input-mode-i displacement rescaled by 1/sqrt(2).
     """
-    i, j = modes
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    _mode_slice(state, i)
-    _mode_slice(state, j)
     I2 = np.eye(2)
-    block = np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0)
-    S = _embed(block, state.modes, (i, j))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _act(state, np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0), tuple(modes))
 
 
 def homodyne_marginal(state: GaussianState, mode: int, quadrature: str) -> tuple[float, float]:

@@ -1,11 +1,11 @@
 """Seedable Monte Carlo of the displacement-estimation pipelines.
 
 All states and measurements are Gaussian, so each shot draws homodyne or
-heterodyne outcomes from their exact Gaussian marginals computed by the
-covariance propagation in dispest.gaussian.  Randomness comes from the
-counter-based Philox generator; worker substreams are spawned from the master
-seed, shots are partitioned across workers, and per-worker accumulators merge
-by summation, so results are bit-reproducible for a fixed (seed, workers).
+heterodyne outcomes from their exact Gaussian marginals.  Randomness comes
+from the counter-based Philox generator; worker substreams are spawned from
+the master seed, shots are partitioned across workers, and per-worker
+accumulators merge by summation, so results are bit-reproducible for a fixed
+(seed, workers).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import beamsplit_balanced, make_tmst
-from .bounds import scaling_factors
+from .bounds import scaling_factors, scheme_variance_sum
 
 _CHUNK = 1 << 16
 _SQRT2 = np.sqrt(2.0)
@@ -45,6 +44,12 @@ class EstimationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        values = (self.r, self.N, self.N2, self.q0, self.p0, self.prior_delta,
+                  self.K) + (tuple(self.jitter) if self.jitter is not None else ())
+        if not all(np.isfinite(v) for v in values if v is not None):
+            raise ValueError("numeric settings must be finite")
+        if any(v is not None and v < 0 for v in (self.r, self.N, self.N2)):
+            raise ValueError("r and N must be nonnegative")
         if self.shots < 100:
             raise ValueError("shots must be at least 100")
         if self.workers < 1:
@@ -99,16 +104,14 @@ def _scheme_geometry(cfg: EstimationConfig) -> tuple[float, float]:
     """Homodyne variances (v_q, v_p) of the two beam-splitter outputs.
 
     The q estimate is read from the q-squeezed output (mode 1), the p estimate
-    from the p-squeezed output (mode 0); the measured pair is uncorrelated.
+    from the p-squeezed output (mode 0); the pair is uncorrelated and each
+    variance is (N1 + N2 + 1)e^{-2r}/2, a quarter of the scheme variance sum
+    (propagating the covariance gives the same up to ~e^{4r} epsilons).
     """
     if cfg.r is None or cfg.N is None:
         raise ValueError("scheme runs need r and N")
-    out = beamsplit_balanced(make_tmst(cfg.r, cfg.N, cfg.N2), (0, 1))
-    v_p = out.cov[1, 1]
-    v_q = out.cov[2, 2]
-    if abs(out.cov[1, 2]) > 1e-10:
-        raise RuntimeError("measured quadratures are unexpectedly correlated")
-    return float(v_q), float(v_p)
+    v = scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
+    return v, v
 
 
 def _resolve_k(cfg: EstimationConfig, var0: float) -> float:

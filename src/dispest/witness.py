@@ -42,16 +42,21 @@ def _is_symmetric(state: GaussianState) -> bool:
     return bool(iso1 and iso2 and balanced)
 
 
+def duan_lhs(cov, a: float = 1.0):
+    """EPR variance sum Var(u) + Var(v) of two-mode covariances (..., 4, 4)."""
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    c = np.asarray(cov, dtype=float)
+    s = abs(a) / a
+    var_u = a * a * c[..., 0, 0] + c[..., 2, 2] / (a * a) + 2.0 * s * c[..., 0, 2]
+    var_v = a * a * c[..., 1, 1] + c[..., 3, 3] / (a * a) - 2.0 * s * c[..., 1, 3]
+    return var_u + var_v
+
+
 def duan_check(state: GaussianState, a: float = 1.0) -> DuanResult:
     """Evaluate the EPR variance sum against the separability floor a^2 + 1/a^2."""
     _require_two_modes(state)
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    c = state.cov
-    s = abs(a) / a
-    var_u = a * a * c[0, 0] + c[2, 2] / (a * a) + 2.0 * s * c[0, 2]
-    var_v = a * a * c[1, 1] + c[3, 3] / (a * a) - 2.0 * s * c[1, 3]
-    lhs = float(var_u + var_v)
+    lhs = float(duan_lhs(state.cov, a))
     rhs = float(a * a + 1.0 / (a * a))
     return DuanResult(a=float(a), lhs=lhs, rhs=rhs,
                       entangled_sufficient=bool(lhs < rhs - _STRICT_TOL),
@@ -114,7 +119,7 @@ def sql_beating_vs_entanglement(r: float, N: float | None = None,
     For the symmetric family, Duan at a = 1 is necessary and sufficient, and
     beating the SQL is equivalent to r > r_sql(N).  For the asymmetric family
     the report carries the N2 value at which the scheme stops beating the SQL
-    at this r, found by bisection.
+    at this r.
     """
     symmetric = N is not None
     if symmetric and (N1 is not None or N2 is not None):
@@ -131,37 +136,19 @@ def sql_beating_vs_entanglement(r: float, N: float | None = None,
         variance_sum=variance_sum, beats_sql=bool(variance_sum < 2.0),
         duan_a1=duan_check(state, 1.0), duan_opt=duan_best(state),
         r_sql=thresholds(N)[1] if symmetric else None,
-        n2_threshold=asym_n2_threshold(r) if not symmetric else None)
+        n2_threshold=asym_n2_threshold(r, n1) if not symmetric else None)
     return report
 
 
-def asym_n2_threshold(r: float, tol: float = 1e-8, n1: float = 0.0) -> float:
-    """N2 above which the asymmetric probe (N1 fixed) stops beating the SQL.
+def asym_n2_threshold(r: float, n1: float = 0.0) -> float:
+    """N2 above which the asymmetric probe (N1 = n1) stops beating the SQL.
 
-    Solved by bisection on the propagated scheme variance sum; the sum grows
-    monotonically with N2.
+    The scheme variance sum 2(n1 + N2 + 1)e^{-2r} crosses 2 at
+    N2 = e^{2r} - 1 - n1; zero when the probe never beats the SQL.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-
-    def excess(n2):
-        return scheme_variance_propagated(make_tmst(r, n1, n2)) - 2.0
-
-    if excess(0.0) >= -1e-12:
-        return 0.0
-    hi = 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no SQL crossing found")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not (np.isfinite(r) and np.isfinite(n1)) or r < 0 or n1 < 0:
+        raise ValueError("r and n1 must be finite and nonnegative")
+    return float(max(np.expm1(2.0 * r) - n1, 0.0))
 
 
 def random_unsqueezed_two_mode(rng: np.random.Generator,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispest import (BoundQuery, bound_most_informative, bound_rld, bound_sld,
-                     displace, gap_D, gaussian_fisher, make_squeezed_thermal,
-                     make_thermal, make_tmst, prior_fisher_gaussian,
-                     scaling_factors, scheme_variance_sum, thresholds, vacuum)
+                     displace, evaluate_bounds, gap_D, gaussian_fisher,
+                     make_squeezed_thermal, make_thermal, make_tmst,
+                     prior_fisher_gaussian, probe_fisher, scaling_factors,
+                     scheme_variance_sum, thresholds, vacuum)
 
 R_GRID = (0.0, 0.3, 0.6, 1.0)
 N_GRID = (0.2, 0.5, 1.0, 2.0)
@@ -241,3 +243,58 @@ def test_query_validation():
         BoundQuery(kind="tmst", delta=0.0)
     with pytest.raises(ValueError):
         BoundQuery(kind="tmst", weight=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for field in ("r", "N", "N2", "delta"):
+            with pytest.raises(ValueError):
+                BoundQuery(kind="tmst_asym", **{"r": 0.5, "N": 0.5, "N2": 0.5,
+                                                field: bad})
+        with pytest.raises(ValueError):
+            BoundQuery(kind="tmst", weight=np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("r", [8.0, 12.0, 15.0])
+@pytest.mark.parametrize("N", [0.3, 1.0, 2.5])
+def test_large_squeezing_matches_closed_forms(r, N):
+    rep = bound_most_informative(BoundQuery(kind="tmst", r=r, N=N))
+    assert rep.b_sld == pytest.approx(closed_b_s(r, N), rel=1e-13)
+    assert rep.b_rld == pytest.approx(closed_b_r(r, N), rel=1e-13)
+    assert rep.b_mi == rep.b_sld and rep.branch == "SLD"
+    assert np.isfinite(rep.gap)
+
+
+def test_batched_layer_broadcasts():
+    r = np.linspace(0.0, 3.0, 7)[:, None]
+    N = np.array([0.2, 1.0, 2.0])
+    H, j_inv = probe_fisher("tmst", r, N)
+    assert H.shape == j_inv.shape == (7, 3, 2, 2)
+    b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv)
+    assert np.allclose(b_s, closed_b_s(r, N), rtol=1e-13)
+    assert np.allclose(b_r, closed_b_r(r, N), rtol=1e-13)
+    assert np.array_equal(branch == "RLD", r < thresholds(N)[0])
+    deltas = np.array([0.5, 1.0, 4.0])
+    b_s, _, _, _ = evaluate_bounds(*probe_fisher("tmst", 0.4, 0.7), deltas)
+    d2 = deltas ** 2
+    assert np.allclose(b_s, 2 * 2.4 * d2 / (2.4 + 2 * d2 * np.cosh(0.8)), rtol=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["coherent", "single", "tmst", "tmst_asym"]),
+       r=st.floats(0.0, 2.0), N=st.floats(0.05, 3.0), N2=st.floats(0.05, 3.0),
+       delta=st.none() | st.floats(0.2, 10.0),
+       g=st.tuples(st.floats(0.2, 3.0), st.floats(-0.9, 0.9), st.floats(0.2, 3.0)),
+       shots=st.integers(1, 1000))
+def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots):
+    """The closed forms against the covariance route of gaussian_fisher, whose
+    Schur complement loses ~e^{4r}/(N(N+1)) machine epsilons; N >= 0.05 keeps
+    that below the 1e-10 gate."""
+    G = np.array([[g[0], g[1] * np.sqrt(g[0] * g[2])],
+                  [g[1] * np.sqrt(g[0] * g[2]), g[2]]])
+    n2 = N2 if kind == "tmst_asym" else None
+    b_s, b_r, b_mi, branch = evaluate_bounds(*probe_fisher(kind, r, N, n2),
+                                             delta, G, shots)
+    fm = gaussian_fisher(BoundQuery(kind=kind, r=r, N=N, N2=n2).probe_state())
+    prior = None if delta is None else prior_fisher_gaussian(delta)
+    assert b_s == pytest.approx(bound_sld(fm, G, prior, shots), rel=1e-10)
+    assert b_r == pytest.approx(bound_rld(fm, G, prior, shots), rel=1e-10)
+    assert b_mi == max(b_s, b_r)
+    assert branch == ("RLD" if b_r > b_s else "SLD")

@@ -106,6 +106,52 @@ def test_usage_errors_exit_2(capsys, args):
     assert err.strip()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("args", [
+    ["bounds", "--probe", "tmst", "--r", "{}", "--N", "1"],
+    ["bounds", "--probe", "tmst", "--r", "1", "--N", "{}"],
+    ["bounds", "--probe", "tmst-asym", "--r", "1", "--N1", "0", "--N2", "{}"],
+    ["bounds", "--probe", "tmst", "--r", "1", "--N", "1", "--delta", "{}"],
+    ["bounds", "--probe", "single", "--r", "1", "--N", "1", "--G", "1,0,{}"],
+    ["simulate", "--r", "{}", "--N", "1", "--shots", "1000", "--q0", "0", "--p0", "0"],
+    ["simulate", "--r", "1", "--N", "{}", "--shots", "1000", "--q0", "0", "--p0", "0"],
+    ["simulate", "--r", "1", "--N", "1", "--shots", "1000", "--q0", "{}", "--p0", "0"],
+    ["simulate", "--r", "1", "--N", "1", "--shots", "1000", "--prior-delta", "{}"],
+    ["simulate", "--baseline", "--shots", "1000", "--q0", "0", "--p0", "0",
+     "--jitter", "{},0"],
+    ["sweep", "--quantity", "b_mi", "--N", "{}", "--steps", "5"],
+    ["sweep", "--quantity", "b_mi", "--r-min", "{}", "--steps", "5"],
+    ["sweep", "--quantity", "gap", "--r-max", "{}", "--steps", "5"],
+    ["sweep", "--quantity", "duan_lhs", "--N", "{}", "--steps", "5"],
+    ["sweep", "--quantity", "b_rld", "--probe", "tmst-asym", "--N1", "1",
+     "--N2", "{}", "--steps", "5"],
+    ["sweep", "--quantity", "b_sld", "--delta", "{}", "--steps", "5"],
+])
+def test_bad_numbers_exit_cleanly(capsys, args, bad):
+    code, _, err = run_cli(capsys, [a.format(bad) for a in args])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    # a negative true displacement is the only valid value here
+    if bad == "-1" and "--q0 {}" in " ".join(args):
+        assert code == 0
+    else:
+        assert code == 2 and err.startswith("error:")
+
+
+def test_sweep_coherent_is_the_sql_line(capsys):
+    code, out, _ = run_cli(capsys, ["sweep", "--quantity", "b_mi", "--probe",
+                                    "coherent", "--steps", "5"])
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.splitlines()[4:]])
+    assert rows.shape == (5, 2) and np.all(rows[:, 1] == 2.0)
+    code, out, _ = run_cli(capsys, ["sweep", "--quantity", "b_sld", "--probe",
+                                    "coherent", "--delta", "2", "--steps", "5"])
+    assert code == 0
+    assert all(float(line.split(",")[1]) == pytest.approx(2 / (2 + 0.25))
+               for line in out.splitlines()[4:])
+
+
 def test_numerical_failures_exit_3(capsys, monkeypatch):
     def boom(query):
         raise PureStateError("RLD undefined for pure states")
@@ -134,6 +180,18 @@ def test_simulate_json_and_reproducibility(capsys):
     rec2 = load_record(out2)
     assert rec2["results"]["mse_sum"] == rec["results"]["mse_sum"]
     assert rec2["results"]["mean_q"] == rec["results"]["mean_q"]
+
+
+@pytest.mark.parametrize("r", [8.0, 15.0])
+def test_simulate_large_squeezing(capsys, r):
+    code, out, _ = run_cli(capsys, ["simulate", "--r", str(r), "--N", "1",
+                                    "--shots", "20000", "--seed", "3",
+                                    "--q0", "0.5", "--p0", "-0.5"])
+    assert code == 0
+    res = load_record(out)["results"]
+    assert res["target_mse_sum"] == pytest.approx(6 * np.exp(-2 * r), rel=1e-13)
+    assert res["bound_mi"] == pytest.approx(3 / np.cosh(2 * r), rel=1e-13)
+    assert abs(res["z_vs_target"]) < 4
 
 
 def test_simulate_baseline_prior(capsys):

@@ -152,6 +152,21 @@ def test_heterodyne_outcome_cov():
 def test_symplectic_transform_validation():
     with pytest.raises(ValueError):
         SymplecticTransform(np.diag([2.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError):
+        SymplecticTransform(np.diag([np.exp(8.0), 1.001 * np.exp(-8.0)]), np.zeros(2))
+
+
+@pytest.mark.parametrize("r", [8.0, 12.0, 15.0])
+def test_large_squeezing_stays_valid(r):
+    """Validation tolerances scale with the entries, which grow as e^{2r}."""
+    st = make_tmst(r, 1.0)
+    assert np.isclose(st.cov[0, 0], 1.5 * np.cosh(2 * r))
+    out = beamsplit_balanced(squeeze_two(make_thermal(1.0, 2), (0, 1), r))
+    assert np.isclose(out.cov[0, 0], 1.5 * np.exp(2 * r), rtol=1e-12)
+    assert np.isclose(out.cov[3, 3], 1.5 * np.exp(2 * r), rtol=1e-12)
+    assert np.isclose(squeeze_single(vacuum(1), 0, r).cov[0, 0], np.exp(2 * r) / 2)
+    with pytest.raises(ValueError):
+        GaussianState(np.zeros(2), np.diag([np.nan, 0.5]))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -31,6 +31,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0,
                          jitter=(-0.1, 0.0))
+    base = dict(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0)
+    for field in ("r", "N", "N2", "q0", "p0", "K"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                EstimationConfig(**{**base, field: bad})
+    for field in ("r", "N", "N2"):
+        with pytest.raises(ValueError):
+            EstimationConfig(**{**base, field: -0.5})
+    with pytest.raises(ValueError):
+        EstimationConfig(shots=1000, seed=0, prior_delta=np.inf)
+    with pytest.raises(ValueError):
+        EstimationConfig(**base, jitter=(np.nan, 0.0))
 
 
 def test_bit_reproducibility():

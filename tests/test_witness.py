@@ -85,6 +85,18 @@ def test_asym_threshold_bisection_matches_closed_form():
     assert abs(asym_n2_threshold(0.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("n1", [0.0, 0.4])
+def test_asym_threshold_is_the_sql_crossing(n1):
+    for r in np.linspace(0.05, 5.0, 100):
+        n2 = asym_n2_threshold(float(r), n1=n1)
+        if n2 == 0.0:
+            assert scheme_variance_propagated(make_tmst(r, n1, 0.0)) >= 2.0 - 1e-12
+            continue
+        eps = 1e-6 * (1.0 + n2)
+        assert scheme_variance_propagated(make_tmst(r, n1, n2 - eps)) < 2.0
+        assert scheme_variance_propagated(make_tmst(r, n1, n2 + eps)) > 2.0
+
+
 def test_asym_entangled_but_not_beating_sql():
     r = 0.5
     thr = asym_n2_threshold(r)
@@ -94,6 +106,8 @@ def test_asym_entangled_but_not_beating_sql():
     assert not above.symmetric
     below = sql_beating_vs_entanglement(r, N1=0.0, N2=max(thr - 0.5, 0.1))
     assert below.beats_sql
+    warm = sql_beating_vs_entanglement(r, N1=0.3, N2=0.2)
+    assert np.isclose(warm.n2_threshold, np.exp(2 * r) - 1.3)
 
 
 def test_necessity_on_random_unsqueezed_states():
