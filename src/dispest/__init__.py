@@ -7,7 +7,7 @@ from .gaussian import (GaussianState, SymplecticTransform, beamsplit_balanced,
                        displace, heterodyne_outcome_cov, homodyne_marginal,
                        make_squeezed_thermal, make_thermal, make_tmst,
                        phase_rotate, squeeze_single, squeeze_two,
-                       symplectic_form, tmst_cov, vacuum)
+                       symplectic_form, vacuum)
 from .fock import (FockOperatorSet, PureStateError, TruncationError,
                    build_probe_fock, displace_fock, fock_fisher_converged,
                    moment_fock, moments_fock, rld_fisher_fock, sld_fisher_fock)
@@ -22,14 +22,14 @@ from .montecarlo import (EstimationConfig, EstimationResult, KMinScan,
                          run_baseline_heterodyne, run_scheme,
                          uncertainty_product)
 from .witness import (DuanResult, SqlEntanglementReport, asym_n2_threshold,
-                      duan_best, duan_check, duan_lhs, random_unsqueezed_two_mode,
+                      duan_best, duan_check, random_unsqueezed_two_mode,
                       scheme_variance_propagated, sql_beating_vs_entanglement)
 
 __all__ = [
     "GaussianState", "SymplecticTransform", "vacuum", "make_thermal",
     "make_squeezed_thermal", "make_tmst", "squeeze_single", "squeeze_two",
     "displace", "phase_rotate", "beamsplit_balanced", "homodyne_marginal",
-    "heterodyne_outcome_cov", "symplectic_form", "tmst_cov",
+    "heterodyne_outcome_cov", "symplectic_form",
     "FockOperatorSet", "build_probe_fock", "displace_fock", "sld_fisher_fock",
     "rld_fisher_fock", "moments_fock", "moment_fock", "fock_fisher_converged",
     "PureStateError", "TruncationError",
@@ -41,7 +41,7 @@ __all__ = [
     "EstimationConfig", "EstimationResult", "KMinScan", "UncertaintyProduct",
     "run_scheme", "run_baseline_heterodyne", "empirical_K_min",
     "uncertainty_product",
-    "DuanResult", "SqlEntanglementReport", "duan_check", "duan_best", "duan_lhs",
+    "DuanResult", "SqlEntanglementReport", "duan_check", "duan_best",
     "scheme_variance_propagated", "sql_beating_vs_entanglement",
     "asym_n2_threshold", "random_unsqueezed_two_mode",
 ]

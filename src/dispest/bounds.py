@@ -147,8 +147,10 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     L_i = (nu_i I - (i/2) Omega)/p_i and p_i = nu_i^2 - 1/4 = N_i (N_i + 1).
     Two-mode J^-1 = (a I + (b/2) i Omega)/q is the 2x2 inverse multiplied
     through by p_1 p_2, finite for pure inputs; a and q are sums of
-    nonnegative terms, so nothing cancels at large r.  q = 0 only for the
-    pure probe at r = 0, where J^-1 takes the pure-probe value, zero.
+    nonnegative terms, so nothing cancels at large r.  q = 0 only at r = 0
+    with N2 = 0: there the probe is thermal(N1) x vacuum, whose J^-1 is
+    nu_1 I + (i/2) Omega (not the r -> 0+ limit: J^-1 jumps where a mode
+    turns pure), or the pure-probe value zero when N1 = 0 too.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown probe kind '{kind}'")
@@ -168,7 +170,9 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     a = c2 * nu1 * p2 + s2 * nu2 * p1
     b = p2 + s2 * (p2 - p1)
     q = c2 * c2 * p2 + s2 * s2 * p1 + 2.0 * c2 * s2 * (nu1 * nu2 + 0.25)
-    q = np.where(q > 0, q, np.inf)
+    product = (q == 0) & (p1 > 0)
+    a, b = np.where(product, nu1, a), np.where(product, 1.0, b)
+    q = np.where(product, 1.0, np.where(q > 0, q, np.inf))
     return _mat(h, zero, zero, h), _mat(a / q, 0.5j * b / q, -0.5j * b / q, a / q)
 
 
@@ -209,8 +213,8 @@ def _rld(j_inv, prior, weight, shots):
 
 def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
     """B_S, B_R, B_MI = max(B_S, B_R) and the branch ('RLD' where B_R > B_S)
-    from stacked Fisher matrices (..., 2, 2).  Broadcasts over delta, the
-    Gaussian prior's width (None: flat prior), and the weight G."""
+    from stacked Fisher matrices (..., 2, 2).  delta is the Gaussian prior's
+    width (None: flat prior); the weight G may be stacked too."""
     prior = None if delta is None else prior_fisher_gaussian(delta)
     b_s = _sld(H, prior, weight, shots)
     b_r = _rld(j_inv, prior, weight, shots)
@@ -234,17 +238,18 @@ def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
     return float(_rld(fm.j_inv, prior, weight, shots))
 
 
-def thresholds(N):
+def thresholds(N: float) -> tuple[float, float]:
     """Squeezing thresholds (r_ths, r_sql) of the symmetric two-mode probe.
 
     r_ths = arccosh(2N+1)/2 is where the most-informative branch switches from
     RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 is where the double-homodyne
-    scheme starts to beat the standard quantum limit.  Broadcasts over N.
+    scheme starts to beat the standard quantum limit.
     """
-    _check_probe(0.0, N)
+    if N < 0:
+        raise ValueError("mean photon number must be nonnegative")
     r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
     r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
-    return r_ths, r_sql
+    return float(r_ths), float(r_sql)
 
 
 def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None):
@@ -273,13 +278,13 @@ def gap_D(r, N):
     return ((E - b_mi) / b_mi)[()]
 
 
-def prior_fisher_gaussian(delta):
-    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0);
-    zero for delta = inf.  Broadcasts over delta, giving shape (..., 2, 2)."""
-    delta = np.asarray(delta, dtype=float)
-    if not np.all(delta > 0):
+def prior_fisher_gaussian(delta: float) -> np.ndarray:
+    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0)."""
+    if np.isinf(delta):
+        return np.zeros((2, 2))
+    if not delta > 0:
         raise ValueError("prior width must be positive")
-    return np.eye(2) / (delta * delta)[..., None, None]
+    return np.eye(2) / (delta * delta)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,11 @@ def _probe_query(args, r: float = 0.0, weight=None, shots: int = 1) -> BoundQuer
         n, n2 = (args.N if args.N is not None else 0.0), None
     if kind == "coherent" and (r != 0.0 or n != 0.0):
         raise UsageError("a coherent probe takes no --r or --N")
-    return BoundQuery(kind=kind, r=r, N=n, N2=n2, delta=args.delta,
-                      weight=weight, shots=shots)
+    try:
+        return BoundQuery(kind=kind, r=r, N=n, N2=n2, delta=args.delta,
+                          weight=weight, shots=shots)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_bounds(args) -> int:
@@ -149,12 +152,14 @@ def cmd_simulate(args) -> int:
     if not args.baseline and (args.r is None or args.N is None):
         raise UsageError("simulate needs --r and --N (or --baseline)")
     scaling, k_explicit = _parse_scaling(args.scaling)
-    cfg = EstimationConfig(
-        shots=args.shots, seed=args.seed, r=args.r, N=args.N, N2=args.N2,
-        q0=args.q0, p0=args.p0, prior_delta=args.prior_delta,
-        scaling=scaling, K=k_explicit,
-        jitter=tuple(_numbers(args.jitter, 2, "--jitter")) if args.jitter else None,
-        workers=args.workers)
+    jitter = tuple(_numbers(args.jitter, 2, "--jitter")) if args.jitter else None
+    try:
+        cfg = EstimationConfig(
+            shots=args.shots, seed=args.seed, r=args.r, N=args.N, N2=args.N2,
+            q0=args.q0, p0=args.p0, prior_delta=args.prior_delta,
+            scaling=scaling, K=k_explicit, jitter=jitter, workers=args.workers)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     runner = run_baseline_heterodyne if args.baseline else run_scheme
     result = runner(cfg, record_shots=args.dump_shots is not None)
 
@@ -225,9 +230,12 @@ def cmd_figure(args) -> int:
         print(os.path.join(out, "fig2.csv"))
         return 0
 
-    deltas = tuple(finite(x) for x in args.deltas.split(",")) if args.deltas \
-        else FIG3_DELTAS
+    deltas = FIG3_DELTAS
+    if args.deltas:
+        deltas = tuple(_numbers(args.deltas, args.deltas.count(",") + 1, "--deltas"))
     n_th = args.N if args.N is not None else 1.0
+    if min(deltas) <= 0 or n_th < 0:
+        raise UsageError("fig3 needs positive --deltas and nonnegative --N")
     fisher = probe_fisher("tmst", grid, n_th)
     var0 = scheme_variance_sum(grid, n_th) / 2.0
     for delta in deltas:
@@ -348,14 +356,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (PureStateError, RLDUnavailableError, TruncationError,
-            np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (UsageError, ValueError) as exc:
-        # the library's input validation raises ValueError
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (PureStateError, RLDUnavailableError, TruncationError,
+            np.linalg.LinAlgError, ValueError) as exc:
+        # input is validated before the library runs, so a ValueError from
+        # inside it (an unphysical covariance, say) is a numerical fault
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry_point():

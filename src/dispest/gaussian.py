@@ -21,7 +21,11 @@ _SYMPLECTIC_TOL = 1e-10
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Standard symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
-    return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
+    omega = np.zeros((2 * modes, 2 * modes))
+    for k in range(modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
+    return omega
 
 
 def _scale(mat: np.ndarray) -> float:
@@ -121,16 +125,12 @@ def _mode_slice(state: GaussianState, mode: int) -> slice:
     return slice(2 * mode, 2 * mode + 2)
 
 
-def _act(state: GaussianState, block: np.ndarray, targets: tuple[int, ...]) -> GaussianState:
-    """Apply a symplectic block acting on `targets` (identity on other modes)."""
-    for t in targets:
-        _mode_slice(state, t)
-    if len(set(targets)) != len(targets):
-        raise ValueError("a two-mode map needs two distinct modes")
-    S = np.eye(2 * state.modes)
+def _embed(block: np.ndarray, modes: int, targets: tuple[int, ...]) -> np.ndarray:
+    """Place a symplectic block acting on `targets` into an identity on all modes."""
+    S = np.eye(2 * modes)
     idx = np.concatenate([[2 * t, 2 * t + 1] for t in targets])
     S[np.ix_(idx, idx)] = block
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return S
 
 
 def vacuum(modes: int = 1) -> GaussianState:
@@ -147,7 +147,10 @@ def make_thermal(N: float, modes: int = 1) -> GaussianState:
 
 def squeeze_single(state: GaussianState, mode: int, r: float) -> GaussianState:
     """Single-mode squeezer; r > 0 reduces Var(p) by e^{-2r} and grows Var(q)."""
-    return _act(state, np.diag([np.exp(r), np.exp(-r)]), (mode,))
+    _mode_slice(state, mode)
+    block = np.diag([np.exp(r), np.exp(-r)])
+    S = _embed(block, state.modes, (mode,))
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
 
 
 def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
@@ -157,10 +160,16 @@ def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> Gauss
     -C Z off-diagonal (Z = diag(1, -1)), with A = (2N+1)cosh(2r)/2 and
     C = (2N+1)sinh(2r)/2, i.e. q1 - q2 and p1 + p2 are the squeezed pairs.
     """
+    i, j = modes
+    if i == j:
+        raise ValueError("two-mode squeezing needs two distinct modes")
+    _mode_slice(state, i)
+    _mode_slice(state, j)
     Z = np.diag([1.0, -1.0])
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.block([[ch * np.eye(2), -sh * Z], [-sh * Z, ch * np.eye(2)]])
-    return _act(state, block, tuple(modes))
+    S = _embed(block, state.modes, (i, j))
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
 
 
 def make_squeezed_thermal(r: float, N: float) -> GaussianState:
@@ -201,8 +210,10 @@ def displace(state: GaussianState, mode: int, q0: float, p0: float) -> GaussianS
 
 def phase_rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
     """Phase-space rotation of one mode by angle theta."""
+    _mode_slice(state, mode)
     c, s = np.cos(theta), np.sin(theta)
-    return _act(state, np.array([[c, s], [-s, c]]), (mode,))
+    S = _embed(np.array([[c, s], [-s, c]]), state.modes, (mode,))
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
 
 
 def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) -> GaussianState:
@@ -214,8 +225,15 @@ def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) ->
     p-squeezed output at mode i and a q-squeezed output at mode j, both
     displaced by the input-mode-i displacement rescaled by 1/sqrt(2).
     """
+    i, j = modes
+    if i == j:
+        raise ValueError("beam splitter needs two distinct modes")
+    _mode_slice(state, i)
+    _mode_slice(state, j)
     I2 = np.eye(2)
-    return _act(state, np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0), tuple(modes))
+    block = np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0)
+    S = _embed(block, state.modes, (i, j))
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
 
 
 def homodyne_marginal(state: GaussianState, mode: int, quadrature: str) -> tuple[float, float]:

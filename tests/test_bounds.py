@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dispest import (BoundQuery, bound_most_informative, bound_rld, bound_sld,
                      displace, evaluate_bounds, gap_D, gaussian_fisher,
@@ -270,23 +270,39 @@ def test_batched_layer_broadcasts():
     b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv)
     assert np.allclose(b_s, closed_b_s(r, N), rtol=1e-13)
     assert np.allclose(b_r, closed_b_r(r, N), rtol=1e-13)
-    assert np.array_equal(branch == "RLD", r < thresholds(N)[0])
-    deltas = np.array([0.5, 1.0, 4.0])
-    b_s, _, _, _ = evaluate_bounds(*probe_fisher("tmst", 0.4, 0.7), deltas)
-    d2 = deltas ** 2
-    assert np.allclose(b_s, 2 * 2.4 * d2 / (2.4 + 2 * d2 * np.cosh(0.8)), rtol=1e-13)
+    assert np.array_equal(branch == "RLD", r < 0.5 * np.arccosh(2 * N + 1))
 
 
-@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("n1", [0.3, 1.0, 2.5])
+def test_asym_product_state_at_zero_squeezing(n1):
+    """At r = 0 with N2 = 0 the probe is thermal(N1) x vacuum: J^-1 is the
+    thermal mode's nu_1 I + (i/2) Omega, and the RLD branch gives 2N1 + 2."""
+    H, j_inv = probe_fisher("tmst_asym", 0.0, n1, 0.0)
+    fm = gaussian_fisher(make_tmst(0.0, n1, 0.0))
+    assert np.allclose(H, fm.H, rtol=1e-14) and np.allclose(j_inv, fm.j_inv, rtol=1e-14)
+    rep = bound_most_informative(BoundQuery(kind="tmst_asym", r=0.0, N=n1, N2=0.0))
+    assert rep.b_rld == pytest.approx(2 * n1 + 2, rel=1e-14)
+    assert rep.b_mi == rep.b_rld and rep.branch == "RLD"
+    assert rep.b_sld == pytest.approx(2 * n1 + 1, rel=1e-14)
+
+
+def _zero_or(lo, hi):
+    return st.just(0.0) | st.floats(lo, hi)
+
+
+@settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["coherent", "single", "tmst", "tmst_asym"]),
-       r=st.floats(0.0, 2.0), N=st.floats(0.05, 3.0), N2=st.floats(0.05, 3.0),
+       r=_zero_or(0.0, 2.0), N=_zero_or(0.05, 3.0), N2=_zero_or(0.05, 3.0),
        delta=st.none() | st.floats(0.2, 10.0),
        g=st.tuples(st.floats(0.2, 3.0), st.floats(-0.9, 0.9), st.floats(0.2, 3.0)),
        shots=st.integers(1, 1000))
 def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots):
     """The closed forms against the covariance route of gaussian_fisher, whose
     Schur complement loses ~e^{4r}/(N(N+1)) machine epsilons; N >= 0.05 keeps
-    that below the 1e-10 gate."""
+    that below the 1e-10 gate.  With N2 = 0 the second mode's block is within
+    r^2 of singular, so that route needs r = 0 or r >= 0.01.  Pure two-mode
+    probes (N = N2 = 0) take the N -> 0+ limit of B_R, zero."""
+    assume(not (kind == "tmst_asym" and N2 == 0.0 and 0.0 < r < 0.01))
     G = np.array([[g[0], g[1] * np.sqrt(g[0] * g[2])],
                   [g[1] * np.sqrt(g[0] * g[2]), g[2]]])
     n2 = N2 if kind == "tmst_asym" else None
@@ -295,6 +311,8 @@ def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots)
     fm = gaussian_fisher(BoundQuery(kind=kind, r=r, N=N, N2=n2).probe_state())
     prior = None if delta is None else prior_fisher_gaussian(delta)
     assert b_s == pytest.approx(bound_sld(fm, G, prior, shots), rel=1e-10)
-    assert b_r == pytest.approx(bound_rld(fm, G, prior, shots), rel=1e-10)
+    pure = kind in ("tmst", "tmst_asym") and fm.pure
+    assert b_r == (0.0 if pure else pytest.approx(bound_rld(fm, G, prior, shots),
+                                                   rel=1e-10))
     assert b_mi == max(b_s, b_r)
     assert branch == ("RLD" if b_r > b_s else "SLD")

@@ -161,6 +161,39 @@ def test_numerical_failures_exit_3(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_library_value_errors_exit_3(capsys, monkeypatch):
+    """Input is validated before the library runs; a ValueError raised inside
+    it is a numerical fault, not a usage error."""
+    def unphysical(query):
+        raise ValueError("covariance matrix violates the uncertainty principle")
+    monkeypatch.setattr(cli, "bound_most_informative", unphysical)
+    code, _, err = run_cli(capsys, ["bounds", "--probe", "tmst", "--r", "1"])
+    assert code == 3
+    assert err.startswith("numerical failure")
+
+
+def test_fig3_bad_deltas_exit_2(capsys, tmp_path):
+    for deltas in ("1,-2", "1,nan", "1,,2"):
+        code, _, err = run_cli(capsys, ["figure", "fig3", "--out", str(tmp_path),
+                                        "--deltas", deltas, "--steps", "5"])
+        assert code == 2 and err.startswith("error:")
+
+
+def test_asym_product_state_at_zero_squeezing(capsys):
+    """thermal(1) x vacuum: J^-1 = nu_1 I + (i/2) Omega, so B_R = 2N1 + 2."""
+    code, out, _ = run_cli(capsys, ["bounds", "--probe", "tmst-asym", "--r", "0",
+                                    "--N1", "1", "--N2", "0"])
+    assert code == 0
+    res = load_record(out)["results"]
+    assert (res["b_rld"], res["b_mi"], res["branch"]) == (4.0, 4.0, "RLD")
+    assert res["b_sld"] == 3.0
+    code, out, _ = run_cli(capsys, ["sweep", "--quantity", "b_mi", "--probe",
+                                    "tmst-asym", "--N1", "1", "--N2", "0",
+                                    "--steps", "5"])
+    assert code == 0
+    assert out.splitlines()[4] == "0,4"
+
+
 def test_simulate_json_and_reproducibility(capsys):
     args = ["simulate", "--r", "1", "--N", "0.5", "--shots", "100000",
             "--seed", "7", "--q0", "0.7", "--p0", "-0.3"]
