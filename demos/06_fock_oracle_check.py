@@ -3,7 +3,7 @@ Brute-force Fock oracle vs closed Gaussian forms
 ================================================
 
 The truncated Fock-space oracle evaluates the spectral SLD sum and the RLD
-trace formula directly on numerically exponentiated probes.  This demo
+trace formula directly on probes built in a truncated Fock space.  This demo
 compares it entrywise against the covariance-based closed forms on a small
 grid and shows the truncation controls.
 """
@@ -36,8 +36,13 @@ try:
 except PureStateError as err:
     print(f"pure probe: {err}")
 
-# %% Truncation bookkeeping: the builder escalates the dimension until the
-# tail-mass tolerance holds, or reports the measured tail if it cannot.
+# %% Truncation bookkeeping: the builder chooses the dimension from an analytic
+# bound on the tail mass and checks the measured tail on the built probe; if
+# the check fails (say, for an explicit dim that is too small) it escalates
+# until the tolerance holds, or reports the measured tail if it cannot.
 probe = build_probe_fock("single", 1.0, 2.0)
-print(f"hot squeezed thermal probe: escalated to dim = {probe.dim}, "
+print(f"hot squeezed thermal probe: analytic dim = {probe.dim}, "
+      f"tail = {probe.tail_mass():.2e}")
+probe = build_probe_fock("single", 1.0, 2.0, dim=40)
+print(f"same probe from dim = 40: escalated to dim = {probe.dim}, "
       f"tail = {probe.tail_mass():.2e}")

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -282,7 +283,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+@functools.lru_cache(maxsize=1)
+def build_parser() -> _Parser:  # built once per process; parsing keeps no state
     parser = _Parser(prog="dispest",
                      description="Bounds and simulations for joint estimation "
                                  "of phase-space displacements")

@@ -1,17 +1,19 @@
 """Truncated Fock-space oracle for displacement-estimation Fisher matrices.
 
-Probes are built by numerically exponentiating the squeezing generators and
-applying them to thermal density matrices.  The SLD Fisher matrix comes from
-the spectral sum over eigenpairs of the probe, the RLD Fisher matrix from the
-operator-trace formula; both use the displacement generators G_q0 = p_hat and
-G_p0 = -q_hat of the displaced mode.  This module is the slow ground-truth
-path used to validate the closed Gaussian forms.
+Probes are built by applying exponentiated squeezing generators to thermal
+density matrices.  The SLD Fisher matrix comes from the spectral sum over
+eigenpairs of the probe, the RLD Fisher matrix from the operator-trace
+formula; both use the displacement generators G_q0 = p_hat and G_p0 = -q_hat
+of the displaced mode.  This module is the slow ground-truth path used to
+validate the closed Gaussian forms.
 
 Two-mode squeezing conserves the photon-number difference n - m, so the
 squeezer, the probe eigenbasis and the generator couplings all decompose over
-difference sectors.  build_probe_fock keeps that block form, which lets the
-oracle run at large truncations; a dense eigendecomposition path is kept for
-generic (e.g. displaced) probes and for validating the block path.
+difference sectors; single-mode squeezing keeps photon-number parity.  Each
+such block of a squeezer is the exponential of a real antisymmetric
+tridiagonal matrix.  build_probe_fock keeps the two-mode block form, which
+lets the oracle run at large truncations; a dense eigendecomposition path is
+kept for generic (e.g. displaced) probes and for validating the block path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -67,11 +69,28 @@ def thermal_probs(N: float, dim: int) -> np.ndarray:
     return np.exp(n * np.log(N / (N + 1.0)) - np.log(N + 1.0))
 
 
+def _expm_tridiagonal(c: np.ndarray) -> np.ndarray:
+    """exp(G) for G[k, k+1] = c[k] = -G[k+1, k]; real orthogonal.
+
+    With D = diag(i^k), D^-1 G D = iS, S real symmetric tridiagonal with zero
+    diagonal, so exp(G) = D V e^{iL} V^T D^-1 for S = V L V^T.  cos(S) keeps
+    the parity of k and sin(S) flips it, so with W = diag((-1)^floor(k/2)) V
+    this is the real (W cos L + diag((-1)^k) W sin L) W^T.
+    """
+    lam, V = eigh_tridiagonal(np.zeros(c.size + 1), c)
+    k = np.arange(c.size + 1)[:, None]
+    W = V * np.where(k % 4 < 2, 1.0, -1.0)
+    return (W * np.cos(lam) + np.where(k % 2 == 0, W, -W) * np.sin(lam)) @ W.T
+
+
 def _single_squeeze_unitary(r: float, dim: int) -> np.ndarray:
-    """exp((r/2)(a†² - a²)); real orthogonal, squeezes p for r > 0."""
-    a = ladder(dim)
-    gen = 0.5 * r * (a.T @ a.T - a @ a)
-    return expm(gen)
+    """exp((r/2)(a†² - a²)) from its even and odd blocks; squeezes p for r > 0."""
+    U = np.zeros((dim, dim))
+    for parity in (0, 1):
+        k = np.arange(parity, dim - 2, 2.0)
+        idx = np.arange(parity, dim, 2)
+        U[np.ix_(idx, idx)] = _expm_tridiagonal(-0.5 * r * np.sqrt((k + 1) * (k + 2)))
+    return U
 
 
 def _sector_states(dim: int, d: int) -> np.ndarray:
@@ -81,39 +100,31 @@ def _sector_states(dim: int, d: int) -> np.ndarray:
     return (k + a0) * dim + (k + b0)
 
 
-def _sector_squeeze_block(r: float, dim: int, d: int) -> np.ndarray:
-    """Block of exp(-r(a†b† - ab)) on the n - m = d sector; real orthogonal."""
-    a0, b0 = max(d, 0), max(-d, 0)
-    size = dim - abs(d)
-    k = np.arange(1, size)
-    c = r * np.sqrt((k + a0) * (k + b0))
-    gen = np.diag(c, k=1) - np.diag(c, k=-1)
-    return expm(gen)
+def _sector_squeeze_blocks(r: float, dim: int) -> list:
+    """Blocks of exp(-r(a†b† - ab)) on the sectors d = n - m = -(dim-1) .. dim-1.
 
-
-def _coupling_block(dim: int, d: int, mode: int) -> np.ndarray:
-    """Matrix elements of q_mode between sectors d (rows) and d+1 (columns).
-
-    The p_mode block is the entrywise negative of this one; both follow from
-    the single raising/lowering path that connects adjacent sectors.
+    The generator weights r sqrt(k (k + |d|)) depend on |d| only, so sectors
+    d and -d share one block.
     """
-    sd, se = dim - abs(d), dim - abs(d + 1)
-    block = np.zeros((sd, se))
+    ks = [np.arange(1.0, dim - s) for s in range(dim)]
+    blocks = [_expm_tridiagonal(r * np.sqrt(k * (k + s))) for s, k in enumerate(ks)]
+    return blocks[:0:-1] + blocks
+
+
+def _coupling(dim: int, d: int, mode: int) -> tuple[slice, slice, np.ndarray]:
+    """q_mode between sectors d and d+1: <d, rows_d[j]| q |d+1, rows_e[j]> = w[j].
+
+    All other elements are zero, and the p_mode block is the entrywise
+    negative of this one: one raising/lowering path connects the sectors.
+    """
+    size = dim - max(abs(d), abs(d + 1))
+    k = np.arange(size)
+    if (mode == 0) == (d >= 0):
+        return slice(0, size), slice(0, size), np.sqrt((k + dim - size) / 2.0)
+    w = np.sqrt((k + 1.0) / 2.0)
     if mode == 0:
-        if d >= 0:
-            l = np.arange(se)
-            block[l, l] = np.sqrt(l + d + 1.0) / _SQRT2
-        else:
-            l = np.arange(1, se)
-            block[l - 1, l] = np.sqrt(l) / _SQRT2
-    else:
-        if d >= 0:
-            l = np.arange(se)
-            block[l + 1, l] = np.sqrt(l + 1.0) / _SQRT2
-        else:
-            l = np.arange(sd)
-            block[l, l] = np.sqrt(l - d * 1.0) / _SQRT2
-    return block
+        return slice(0, size), slice(1, size + 1), w
+    return slice(1, size + 1), slice(0, size), w
 
 
 @dataclass(frozen=True)
@@ -121,8 +132,8 @@ class FockOperatorSet:
     """Truncated operators and probe density matrix for the oracle.
 
     For probes built by build_probe_fock the exact spectral decomposition
-    (thermal eigenvalues, numerically exponentiated squeezer as eigenbasis)
-    is carried along; two-mode probes keep it in difference-sector blocks.
+    (thermal eigenvalues, exponentiated squeezer as eigenbasis) is carried
+    along; two-mode probes keep it in difference-sector blocks.
     """
 
     kind: str
@@ -195,8 +206,7 @@ class FockOperatorSet:
         if self.modes == 1:
             return float(np.sum(diag[cut:]))
         grid = diag.reshape(self.dim, self.dim)
-        inner = np.sum(grid[:cut, :cut])
-        return float(max(np.sum(grid) - inner, 0.0))
+        return float(max(np.sum(grid) - np.sum(grid[:cut, :cut]), 0.0))
 
     def q_mode(self, mode: int) -> np.ndarray:
         """Dense q operator of one mode on the full Hilbert space."""
@@ -214,9 +224,18 @@ class FockOperatorSet:
         return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
 
 
-def default_dim(r: float, N: float) -> int:
-    """Per-mode truncation heuristic for squeezed thermal occupation."""
-    return max(20, ceil(8.0 * (N + 1.0) * np.cosh(2.0 * r)))
+def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
+    """(n, modes) of the analytic tail bound modes * x^cut above Fock level cut.
+
+    n = V - 1/2 for V the largest reduced quadrature variance: the thermal
+    state of variance V has weight x^cut, x = n/(n + 1), above level cut,
+    which bounds the tail of each reduced mode (two-mode reduced states are
+    that thermal state).
+    """
+    if kind == "single":
+        return (N + 0.5) * np.exp(2.0 * r) - 0.5, 1
+    c2, s2, n2 = np.cosh(r) ** 2, np.sinh(r) ** 2, N if N2 is None else N2
+    return max(N * c2 + (n2 + 1.0) * s2, n2 * c2 + (N + 1.0) * s2), 2
 
 
 def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
@@ -232,10 +251,13 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         Single-mode squeezed thermal, symmetric two-mode squeezed thermal, or
         asymmetric two-mode squeezed thermal (needs N2).
     dim : int, optional
-        Per-mode truncation; defaults to a squeezed-occupation heuristic.
+        Per-mode truncation; defaults to the smallest dim whose analytic tail
+        bound is below tail_tol (TruncationError, before building, if that is
+        above max_dim).
     tail_tol : float
-        Maximum probability allowed in the top 10% of Fock levels. The
-        truncation escalates until this holds, or TruncationError is raised.
+        Maximum probability allowed in the top 10% of Fock levels, measured
+        on the built probe; the truncation escalates until this holds, or
+        TruncationError is raised.
     """
     if kind not in ("single", "tmst", "tmst_asym"):
         raise ValueError(f"unknown probe kind '{kind}'")
@@ -243,11 +265,19 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         raise ValueError("tmst_asym needs N2")
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
-    n_hi = max(N, N2 or 0.0)
-    if dim is None:
-        dim = default_dim(r, n_hi)
     if max_dim is None:
-        max_dim = 600 if kind == "single" else 320
+        max_dim = 600 if kind == "single" else 420
+    if dim is None:
+        n_hi, modes = _analytic_tail(kind, r, N, N2)
+        # smallest cut with modes * x^cut < tail_tol; -log x = log(1 + 1/n)
+        cut = (np.floor(np.log(modes / tail_tol) / np.log1p(1.0 / n_hi)) + 1
+               if n_hi > 0 else 1)
+        dim = max(2, np.ceil(max(cut, 1) / 0.9))
+        if dim > max_dim:
+            raise TruncationError(
+                f"analytic truncation dim={dim:.0f} exceeds max_dim={max_dim}",
+                tail_mass=modes * (n_hi / (n_hi + 1.0)) ** ceil(0.9 * max_dim))
+        dim = int(dim)
 
     while True:
         probe = _build_at_dim(kind, r, N, N2, dim)
@@ -265,34 +295,21 @@ def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
                   dim: int) -> FockOperatorSet:
     a = ladder(dim).astype(complex)
     q, p = quadratures(dim)
-    params = (r, N) if N2 is None else (r, N, N2)
-
-    if kind == "single":
-        probs = thermal_probs(N, dim)
-        U = _single_squeeze_unitary(r, dim)
-        rho = (U * probs) @ U.T
-        return FockOperatorSet(kind=kind, params=params, dim=dim, modes=1,
-                               a=a, adag=a.conj().T, q=q, p=p,
-                               eigs=probs, basis=U, rho_dense=rho)
-
+    ops = dict(kind=kind, params=(r, N) if N2 is None else (r, N, N2), dim=dim,
+               a=a, adag=a.conj().T, q=q, p=p)
     p1 = thermal_probs(N, dim)
-    p2 = thermal_probs(N if N2 is None else N2, dim)
-    sector_U, sector_probs = [], []
-    for d in range(-(dim - 1), dim):
-        a0, b0 = max(d, 0), max(-d, 0)
-        k = np.arange(dim - abs(d))
-        sector_U.append(_sector_squeeze_block(r, dim, d))
-        sector_probs.append(p1[k + a0] * p2[k + b0])
-    return FockOperatorSet(kind=kind, params=params, dim=dim, modes=2,
-                           a=a, adag=a.conj().T, q=q, p=p,
-                           sector_U=sector_U, sector_probs=sector_probs)
+    if kind == "single":
+        U = _single_squeeze_unitary(r, dim)
+        return FockOperatorSet(modes=1, eigs=p1, basis=U, rho_dense=(U * p1) @ U.T, **ops)
+    joint = np.outer(p1, thermal_probs(N if N2 is None else N2, dim)).ravel()
+    return FockOperatorSet(modes=2, sector_U=_sector_squeeze_blocks(r, dim),
+                           sector_probs=[joint[_sector_states(dim, d)]
+                                         for d in range(-(dim - 1), dim)], **ops)
 
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
-    qm = probe.q_mode(mode)
-    pm = probe.p_mode(mode)
-    D = expm(1j * p0 * qm - 1j * q0 * pm)
+    D = expm(1j * p0 * probe.q_mode(mode) - 1j * q0 * probe.p_mode(mode))
     rho = D @ probe.rho0 @ D.conj().T
     basis = D @ probe.dense_basis()
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
@@ -301,12 +318,15 @@ def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> Fo
                            basis=basis, rho_dense=rho)
 
 
-def _dense_spectral(probe: FockOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+def _dense_generators(probe: FockOperatorSet, mode: int):
+    """Probe eigenvalues and G_q0 = p, G_p0 = -q in the probe eigenbasis."""
     if probe.eigs is not None and probe.basis is not None:
-        return probe.eigs, probe.basis
-    vals, vecs = np.linalg.eigh(probe.rho0)
-    vals = np.clip(vals, 0.0, None)
-    return vals, vecs
+        eigs, basis = probe.eigs, probe.basis
+    else:
+        eigs, basis = np.linalg.eigh(probe.rho0)
+        eigs = np.clip(eigs, 0.0, None)
+    return (eigs, basis.conj().T @ probe.p_mode(mode) @ basis,
+            -(basis.conj().T @ probe.q_mode(mode) @ basis))
 
 
 def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
@@ -321,19 +341,14 @@ def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
         hqq, _, _ = _sector_sums(probe, displaced_mode, pair_tol, None)
         return np.diag([hqq, hqq])
 
-    eigs, basis = _dense_spectral(probe)
-    gq = basis.conj().T @ probe.p_mode(displaced_mode) @ basis
-    gp = -(basis.conj().T @ probe.q_mode(displaced_mode) @ basis)
+    eigs, gq, gp = _dense_generators(probe, displaced_mode)
     ps, pt = eigs[:, None], eigs[None, :]
     denom = ps + pt
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(denom > pair_tol, ps * ((ps - pt) / denom) ** 2, 0.0)
     np.fill_diagonal(w, 0.0)
-    H = np.empty((2, 2))
-    H[0, 0] = 4.0 * np.sum(w * (gq * gq.T)).real
-    H[1, 1] = 4.0 * np.sum(w * (gp * gp.T)).real
-    H[0, 1] = H[1, 0] = 2.0 * np.sum(w * (gq * gp.T + gp * gq.T)).real
-    return H
+    return np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in (gq, gp)]
+                     for x in (gq, gp)])
 
 
 def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
@@ -345,37 +360,29 @@ def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
     """
     if probe.purity() > 1.0 - _PURITY_TOL:
         raise PureStateError("RLD undefined for pure states")
-    if probe.eigs is not None or probe.sector_probs is not None:
-        # built probes carry exact thermal eigenvalues; exact zeros mean the
-        # probe is not full rank and rho^-1 does not exist
-        if np.any(probe.eigenvalues() == 0.0):
-            raise PureStateError(
-                "RLD undefined for pure states (probe is rank deficient)")
+    # built probes carry exact thermal eigenvalues; exact zeros mean the
+    # probe is not full rank and rho^-1 does not exist
+    built = probe.eigs is not None or probe.sector_probs is not None
+    if built and np.any(probe.eigenvalues() == 0.0):
+        raise PureStateError("RLD undefined for pure states (probe is rank deficient)")
 
     if probe.sector_U is not None:
-        _, jdiag, jqp = _sector_sums(probe, displaced_mode, DEFAULT_SLD_TOL,
-                                     inv_floor)
+        _, jdiag, jqp = _sector_sums(probe, displaced_mode, None, inv_floor)
         return np.array([[jdiag, jqp], [np.conj(jqp), jdiag]])
 
-    eigs, basis = _dense_spectral(probe)
+    eigs, gq, gp = _dense_generators(probe, displaced_mode)
     if np.count_nonzero(eigs > inv_floor) < 2:
         raise PureStateError("RLD undefined for pure states")
-    gq = basis.conj().T @ probe.p_mode(displaced_mode) @ basis
-    gp = -(basis.conj().T @ probe.q_mode(displaced_mode) @ basis)
     pn, pm = eigs[:, None], eigs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         R = np.where(pn > inv_floor, (pn - pm) ** 2 / pn, 0.0)
-    jqq = np.sum(R * (gq * gq.T))
-    jpp = np.sum(R * (gp * gp.T))
-    jqp = np.sum(R * (gq * gp.T))
-    jpq = np.sum(R * (gp * gq.T))
-    J = np.array([[jqq, jqp], [jpq, jpp]])
+    J = np.array([[np.sum(R * (x * y.T)) for y in (gq, gp)] for x in (gq, gp)])
     return 0.5 * (J + J.conj().T)
 
 
 def _sector_sums(probe: FockOperatorSet, displaced_mode: int,
-                 pair_tol: float, inv_floor: float | None):
-    """Accumulate the spectral SLD sum and the RLD trace sum over sectors.
+                 pair_tol: float | None, inv_floor: float | None):
+    """Accumulate the spectral SLD sum, or with inv_floor the RLD trace sums.
 
     The generator couplings only connect adjacent difference sectors, and the
     p coupling block is the negative of the q block, so a single transformed
@@ -383,33 +390,29 @@ def _sector_sums(probe: FockOperatorSet, displaced_mode: int,
     J_qq = J_pp, H_qp = 0) is structural for these probes.
     """
     dim = probe.dim
-    want_rld = inv_floor is not None
     # Sector (d, d+1) lowers n for mode 0 but raises m for mode 1, which
     # flips the sign relating the p block to the q block.
     sign = -1.0 if displaced_mode == 0 else 1.0
-    hqq = 0.0
-    jdiag = 0.0
-    jqp_imag = 0.0
+    hqq = jdiag = jqp_imag = 0.0
     for d in range(-(dim - 1), dim - 1):
-        Ud = probe.sector_U[d + dim - 1]
-        Ue = probe.sector_U[d + dim]
-        pd = probe.sector_probs[d + dim - 1]
-        pe = probe.sector_probs[d + dim]
-        B = _coupling_block(dim, d, displaced_mode)
-        T2 = (Ud.T @ (B @ Ue)) ** 2
+        Ud, Ue = probe.sector_U[d + dim - 1], probe.sector_U[d + dim]
+        rows_d, rows_e, c = _coupling(dim, d, displaced_mode)
+        T2 = (Ud[rows_d].T @ (c[:, None] * Ue[rows_e])) ** 2
 
+        pd, pe = probe.sector_probs[d + dim - 1], probe.sector_probs[d + dim]
         a, b = pd[:, None], pe[None, :]
-        denom = a + b
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(denom > pair_tol,
-                         (a + b) * ((a - b) / denom) ** 2, 0.0)
-        hqq += 4.0 * np.sum(w * T2)
-        if want_rld:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = np.where(a > inv_floor, (a - b) ** 2 / a, 0.0)
-                r2 = np.where(b > inv_floor, (b - a) ** 2 / b, 0.0)
-            jdiag += np.sum((r1 + r2) * T2)
-            jqp_imag += sign * np.sum((r2 - r1) * T2)
+            if inv_floor is not None:
+                # (a - b)^2 / a and / b on the rho^-1 support, summed against T2
+                inv_d = np.where(pd > inv_floor, 1.0 / pd, 0.0)
+                inv_e = np.where(pe > inv_floor, 1.0 / pe, 0.0)
+                M = (a - b) ** 2 * T2
+                rows, cols = inv_d @ M.sum(axis=1), inv_e @ M.sum(axis=0)
+                jdiag += rows + cols
+                jqp_imag += sign * (cols - rows)
+            else:
+                w = np.where(a + b > pair_tol, (a + b) * ((a - b) / (a + b)) ** 2, 0.0)
+                hqq += 4.0 * np.sum(w * T2)
     return hqq, jdiag, 1j * jqp_imag
 
 
@@ -428,13 +431,8 @@ def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
             if not 0 <= mode < probe.modes:
                 raise ValueError("mode index out of range")
             per_mode[mode] = per_mode[mode] @ table[name]
-        if probe.modes == 1:
-            out.append(complex(np.trace(rho @ per_mode[0])))
-        else:
-            T = rho.reshape(probe.dim, probe.dim, probe.dim, probe.dim)
-            val = np.einsum("nmab,an,bm->", T.astype(complex),
-                            per_mode[0], per_mode[1], optimize=True)
-            out.append(complex(val))
+        op = per_mode[0] if probe.modes == 1 else np.kron(per_mode[0], per_mode[1])
+        out.append(complex(np.sum(rho * op.T)))  # tr(rho op)
     return out
 
 

@@ -326,3 +326,18 @@ def test_sweep_monotone_and_identities(capsys, tmp_path):
     _, _, duan_rows = read_csv(duan_path)
     assert np.all(e_rows[:, 1] - mi_rows[:, 1] >= -1e-12)
     assert np.allclose(duan_rows[:, 1], e_rows[:, 1], atol=1e-12)
+
+
+def test_parser_is_built_once_and_parses_without_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run_cli(capsys, ["bounds", "--probe", "single", "--r", "x"])
+    assert code == 2 and err.startswith("error:")
+    code, out, _ = run_cli(capsys, ["bounds", "--probe", "coherent"])
+    assert code == 0
+    assert load_record(out)["results"]["b_mi"] == 2.0
+    # a value parsed in an earlier call does not leak into the next one
+    code, out, _ = run_cli(capsys, ["bounds", "--probe", "single", "--r", "0.3",
+                                    "--N", "1"])
+    assert code == 0 and load_record(out)["config"]["N"] == 1.0
+    code, out, _ = run_cli(capsys, ["bounds", "--probe", "single", "--r", "0.3"])
+    assert code == 0 and load_record(out)["config"]["N"] == 0.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import dispest.fock as fock
 from dispest import (FockOperatorSet, PureStateError, TruncationError,
                      build_probe_fock, displace_fock, fock_fisher_converged,
                      gaussian_fisher, make_squeezed_thermal, make_tmst,
@@ -172,3 +174,97 @@ def test_rld_rejects_rank_deficient_probe():
     assert probe.purity() < 0.9
     with pytest.raises(PureStateError):
         rld_fisher_fock(probe)
+
+
+def _sector_generator(r, dim, d):
+    """Generator of exp(-r(a†b† - ab)) on the n - m = d sector."""
+    k = np.arange(1, dim - abs(d))
+    c = r * np.sqrt((k + max(d, 0)) * (k + max(-d, 0)))
+    return np.diag(c, k=1) - np.diag(c, k=-1)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.4, 1.0, 1.5])
+@pytest.mark.parametrize("dim", [8, 25, 60])
+def test_squeezer_blocks_match_expm(r, dim):
+    blocks = fock._sector_squeeze_blocks(r, dim)
+    assert len(blocks) == 2 * dim - 1
+    for d in (0, 3, -3):
+        U = blocks[d + dim - 1]
+        assert np.abs(U - expm(_sector_generator(r, dim, d))).max() < 1e-12
+    a = fock.ladder(dim)
+    U = fock._single_squeeze_unitary(r, dim)
+    assert np.abs(U - expm(0.5 * r * (a.T @ a.T - a @ a))).max() < 1e-12
+    for parity in (0, 1):  # the squeezer keeps photon-number parity
+        assert np.all(U[parity::2, 1 - parity::2] == 0.0)
+
+
+def test_opposite_sectors_share_their_block():
+    dim = 30
+    blocks = fock._sector_squeeze_blocks(0.8, dim)
+    for d in range(1, dim):
+        assert blocks[dim - 1 + d] is blocks[dim - 1 - d]
+        assert np.array_equal(expm(_sector_generator(0.8, dim, d)),
+                              expm(_sector_generator(0.8, dim, -d)))
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Dims at which build_probe_fock measured the tail mass."""
+    calls = []
+    measure = fock.FockOperatorSet.tail_mass
+
+    def counted(self):
+        calls.append(self.dim)
+        return measure(self)
+
+    monkeypatch.setattr(fock.FockOperatorSet, "tail_mass", counted)
+    return calls
+
+
+# acceptance criterion 2's grid, the lattice of the benchmark's oracle
+# workload moved by its largest jitter (0.002), and two low-N points
+CRITERION_2 = [(kind, r, N, None) for kind in ("single", "tmst")
+               for r in (0.0, 0.3, 0.6, 1.0) for N in (0.2, 0.5, 1.0, 2.0)]
+ORACLE_LATTICE = [
+    (kind, r + dr, N + dn, None if kind != "tmst_asym" else ns[(j + 1) % 3] + dn)
+    for kind, rs, ns in (("single", (0.15, 0.35, 0.55, 0.75), (0.6, 0.8, 1.0)),
+                         ("tmst", (0.15, 0.35, 0.55, 0.7), (0.35, 0.55, 0.75)),
+                         ("tmst_asym", (0.15, 0.35, 0.55, 0.7), (0.35, 0.55, 0.75)))
+    for r in rs for j, N in enumerate(ns)
+    for dr in (-0.002, 0.002) for dn in (-0.002, 0.002)]
+LOW_N = [("single", 1.0, 0.2, None), ("tmst", 0.6, 0.1, None)]
+
+
+def test_analytic_truncation_passes_first_tail_check(tail_calls):
+    for kind, r, N, N2 in CRITERION_2 + ORACLE_LATTICE + LOW_N:
+        tail_calls.clear()
+        probe = build_probe_fock(kind, r, N, N2)
+        assert tail_calls == [probe.dim], (kind, r, N, N2)
+
+
+def test_too_small_explicit_dim_still_escalates(tail_calls):
+    probe = build_probe_fock("tmst", 0.5, 0.5, dim=12)
+    assert len(tail_calls) > 1 and tail_calls[0] == 12
+    assert probe.dim == tail_calls[-1] and probe.tail_mass() < 1e-10
+
+
+def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a probe was built")
+
+    monkeypatch.setattr(fock, "_build_at_dim", no_build)
+    with pytest.raises(TruncationError) as err:
+        build_probe_fock("single", 2.0, 1.0)
+    assert 0.0 < err.value.tail_mass
+    with pytest.raises(TruncationError):
+        build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
+
+
+def test_oracle_reaches_tmst_at_r_1_5():
+    probe = build_probe_fock("tmst", 1.5, 1.0)
+    assert probe.dim <= 420
+    fm = gaussian_fisher(make_tmst(1.5, 1.0))
+    H = sld_fisher_fock(probe)
+    j_inv = np.linalg.inv(rld_fisher_fock(probe))
+    assert np.abs(H - fm.H).max() / np.abs(fm.H).max() < 1e-6
+    assert np.abs(j_inv - fm.j_inv).max() / np.abs(fm.j_inv).max() < 1e-6
