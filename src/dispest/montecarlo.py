@@ -1,15 +1,18 @@
 """Seedable Monte Carlo of the displacement-estimation pipelines.
 
 All states and measurements are Gaussian, so each shot draws homodyne or
-heterodyne outcomes from their exact Gaussian marginals.  Randomness comes
-from the counter-based Philox generator; worker substreams are spawned from
-the master seed, shots are partitioned across workers, and per-worker
-accumulators merge by summation, so results are bit-reproducible for a fixed
-(seed, workers).
+heterodyne outcomes from their exact Gaussian marginals, with any Gaussian
+displacement jitter folded into the outcome variance.  Randomness comes from
+the counter-based Philox generator: worker substreams are spawned from the
+master seed, shots are partitioned across workers, the streams run in a
+thread pool of at most one thread per core, and per-worker sums merge in
+stream order, so results are bit-reproducible for a fixed (seed, workers).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ from .bounds import scaling_factors, scheme_variance_sum
 
 _CHUNK = 1 << 16
 _SQRT2 = np.sqrt(2.0)
+_PER_SHOT = ("q0", "p0", "outcome_q", "outcome_p", "estimate_q", "estimate_p")
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,8 @@ class EstimationResult:
     per_shot: dict | None = None
 
 
-def _scheme_geometry(cfg: EstimationConfig) -> tuple[float, float]:
-    """Homodyne variances (v_q, v_p) of the two beam-splitter outputs.
+def _quadrature_variance(cfg: EstimationConfig) -> float:
+    """Homodyne variance of each of the two beam-splitter outputs read.
 
     The q estimate is read from the q-squeezed output (mode 1), the p estimate
     from the p-squeezed output (mode 0); the pair is uncorrelated and each
@@ -110,8 +114,7 @@ def _scheme_geometry(cfg: EstimationConfig) -> tuple[float, float]:
     """
     if cfg.r is None or cfg.N is None:
         raise ValueError("scheme runs need r and N")
-    v = scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
-    return v, v
+    return scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
 
 
 def _resolve_k(cfg: EstimationConfig, var0: float) -> float:
@@ -128,81 +131,115 @@ def _worker_shot_counts(shots: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _target(cfg: EstimationConfig, k: float, var_est_q: float,
-            var_est_p: float) -> float:
-    """Analytic expectation of the reported MSE sum."""
-    noise = k * k * (var_est_q + var_est_p)
-    if cfg.prior_delta is not None:
-        return noise + 2.0 * (k - 1.0) ** 2 * cfg.prior_delta ** 2
-    return noise + (k - 1.0) ** 2 * (cfg.q0 ** 2 + cfg.p0 ** 2)
+def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
+            sd: np.ndarray, gain: float, scan: bool, record: bool):
+    """Draw, estimate and accumulate one worker stream, _CHUNK shots at a time.
 
-
-def _run(cfg: EstimationConfig, sample_outcomes, estimate, var_est_q: float,
-         var_est_p: float, k: float, record_shots: bool) -> EstimationResult:
-    """Shared accumulation loop over workers and chunks.
-
-    sample_outcomes(rng, actual_q, actual_p) draws the raw measurement
-    outcomes; estimate(outcome) maps them to parameter estimates.
+    Rows 0 and 1 are the q and p quadratures.  A chunk draws the prior's
+    (q0, p0), if any, then the outcomes θ/div + sd·z; estimates are gain·o.
+    The buffers serve every chunk, so recorded chunks are copies.  Returns
+    the sums (Σq̂, Σp̂, Σe_q, Σe_p, Σe_q², Σe_p², Σ(e_q+e_p)²) of the squared
+    errors e, or (Σo², Σo·θ, Σθ²) if scan, and the recorded chunks.
     """
-    jq, jp = cfg.jitter if cfg.jitter is not None else (0.0, 0.0)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    totals = np.zeros(7)  # sum q̂, p̂, e_q, e_p, e_q², e_p², s²
-    recorded = {"q0": [], "p0": [], "outcome_q": [], "outcome_p": [],
-                "estimate_q": [], "estimate_p": []} if record_shots else None
+    sums, chunks = np.zeros(3 if scan else 7), []
+    fixed = np.array([[cfg.q0], [cfg.p0]]) if cfg.prior_delta is None else None
+    for done in range(0, shots, _CHUNK):
+        n = min(_CHUNK, shots - done)
+        theta, out, est, tmp = (b[:2 * n].reshape(2, n) for b in buffers)
+        if fixed is None:
+            rng.standard_normal(out=theta)
+            theta *= cfg.prior_delta
+            loc = np.divide(theta, div, out=est)
+        else:
+            theta, loc = fixed, fixed / div
+        rng.standard_normal(out=out)
+        out *= sd
+        out += loc
+        if scan:
+            sums += (np.multiply(out, out, out=tmp).sum(),
+                     np.multiply(out, theta, out=tmp).sum(),
+                     np.multiply(theta, theta, out=tmp).sum())
+            continue
+        np.multiply(out, gain, out=est)
+        if record:
+            chunks.append((np.broadcast_to(theta, (2, n)).copy(), out.copy(),
+                           est.copy()))
+        sums[0:2] += est.sum(axis=1)
+        err = np.subtract(est, theta, out=est)
+        err *= err
+        sums[2:4] += err.sum(axis=1)
+        sums[4:6] += np.multiply(err, err, out=tmp).sum(axis=1)
+        both = np.add(err[0], err[1], out=tmp[0])
+        sums[6] += np.multiply(both, both, out=both).sum()
+    return sums, chunks
 
-    for w, n_w in enumerate(_worker_shot_counts(cfg.shots, cfg.workers)):
-        rng = np.random.Generator(np.random.Philox(children[w]))
-        local = np.zeros(7)
-        done = 0
-        while done < n_w:
-            n = min(_CHUNK, n_w - done)
-            if cfg.prior_delta is not None:
-                q0s = rng.normal(0.0, cfg.prior_delta, n)
-                p0s = rng.normal(0.0, cfg.prior_delta, n)
-            else:
-                q0s = np.full(n, cfg.q0)
-                p0s = np.full(n, cfg.p0)
-            actual_q = q0s + rng.normal(0.0, np.sqrt(jq), n) if jq > 0 else q0s
-            actual_p = p0s + rng.normal(0.0, np.sqrt(jp), n) if jp > 0 else p0s
-            out_q, out_p = sample_outcomes(rng, actual_q, actual_p)
-            est_q, est_p = estimate(out_q, out_p)
-            eq = (est_q - q0s) ** 2
-            ep = (est_p - p0s) ** 2
-            local += (est_q.sum(), est_p.sum(), eq.sum(), ep.sum(),
-                      (eq * eq).sum(), (ep * ep).sum(), ((eq + ep) ** 2).sum())
-            if record_shots:
-                recorded["q0"].append(q0s)
-                recorded["p0"].append(p0s)
-                recorded["outcome_q"].append(out_q)
-                recorded["outcome_p"].append(out_p)
-                recorded["estimate_q"].append(est_q)
-                recorded["estimate_p"].append(est_p)
-            done += n
-        totals += local
 
+def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
+            scan: bool = False, record: bool = False):
+    """Run the worker streams of cfg and merge their sums in stream order.
+
+    Streams of at least one chunk run on min(workers, cores) threads, thread
+    i taking streams i, i + threads, ...; shorter ones run in the caller.
+    Buffers are allocated here: the pool's threads would take them from
+    per-thread malloc arenas and raise the peak RSS.  No BLAS call is made,
+    as BLAS threads would compete with the pool for the cores.
+    """
+    counts = _worker_shot_counts(cfg.shots, cfg.workers)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
+    threads = min(cfg.workers, os.cpu_count() or 1) if counts[-1] >= _CHUNK else 1
+    lanes = [[np.empty(2 * min(_CHUNK, counts[0])) for _ in range(4)]
+             for _ in range(threads)]
+    sd = np.reshape(sd, (2, 1))
+
+    def lane(i):
+        return [_stream(cfg, np.random.Generator(np.random.Philox(seeds[w])),
+                        counts[w], lanes[i], div, sd, gain, scan, record)
+                for w in range(i, cfg.workers, threads)]
+
+    if threads == 1:
+        by_lane = [lane(0)]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            by_lane = list(pool.map(lane, range(threads)))
+    streams = [by_lane[w % threads][w // threads] for w in range(cfg.workers)]
+    totals = sum(sums for sums, _ in streams)
+    if not record:
+        return totals, None
+    theta, out, est = (np.concatenate([c[j] for _, chunks in streams for c in chunks],
+                                      axis=1) for j in range(3))
+    return totals, dict(zip(_PER_SHOT, (*theta, *out, *est)))
+
+
+def _simulate(cfg: EstimationConfig, var: float, m: float,
+              record_shots: bool) -> EstimationResult:
+    """Run cfg for outcomes o = θ/√m + noise of variance var + jitter/m.
+
+    The estimates √m·K·o then carry the noise variance m·var + jitter: the
+    scheme has m = 2 and var its quadrature variance, the heterodyne baseline
+    m = var = 1.
+    """
+    jq, jp = cfg.jitter or (0.0, 0.0)
+    var_est_q, var_est_p = m * var + jq, m * var + jp
+    k = _resolve_k(cfg, var0=0.5 * (var_est_q + var_est_p))
+    div = np.sqrt(m)
+    totals, per_shot = _sample(cfg, div, np.sqrt([var + jq / m, var + jp / m]),
+                               div * k, record=record_shots)
     M = cfg.shots
-    mean_q, mean_p = totals[0] / M, totals[1] / M
-    mse_q, mse_p = totals[2] / M, totals[3] / M
-    mse_sum = mse_q + mse_p
-
-    def se(second_moment, mean):
-        var = max(second_moment - mean * mean, 0.0)
-        return np.sqrt(var / M)
-
-    result = EstimationResult(
+    mean_q, mean_p, mse_q, mse_p, *fourth = totals / M
+    mse = np.array([mse_q, mse_p, mse_q + mse_p])
+    se_q, se_p, se_sum = np.sqrt(np.maximum(np.array(fourth) - mse * mse, 0.0) / M)
+    target = k * k * (var_est_q + var_est_p) + (k - 1.0) ** 2 * (
+        2.0 * cfg.prior_delta ** 2 if cfg.prior_delta is not None
+        else cfg.q0 ** 2 + cfg.p0 ** 2)
+    return EstimationResult(
         config=cfg, k_used=k, shots=M,
         mean_q=float(mean_q), mean_p=float(mean_p),
         bias_q=float(mean_q - cfg.q0) if cfg.q0 is not None else None,
         bias_p=float(mean_p - cfg.p0) if cfg.p0 is not None else None,
-        mse_q=float(mse_q), mse_p=float(mse_p), mse_sum=float(mse_sum),
-        se_mse_q=float(se(totals[4] / M, mse_q)),
-        se_mse_p=float(se(totals[5] / M, mse_p)),
-        se_mse_sum=float(se(totals[6] / M, mse_sum)),
-        target_mse_sum=float(_target(cfg, k, var_est_q, var_est_p)),
-        outcome_variances=(var_est_q, var_est_p),
-        per_shot={key: np.concatenate(vals) for key, vals in recorded.items()}
-        if record_shots else None)
-    return result
+        mse_q=float(mse_q), mse_p=float(mse_p), mse_sum=float(mse[2]),
+        se_mse_q=float(se_q), se_mse_p=float(se_p), se_mse_sum=float(se_sum),
+        target_mse_sum=float(target), outcome_variances=(var_est_q, var_est_p),
+        per_shot=per_shot)
 
 
 def run_scheme(cfg: EstimationConfig, record_shots: bool = False) -> EstimationResult:
@@ -210,24 +247,10 @@ def run_scheme(cfg: EstimationConfig, record_shots: bool = False) -> EstimationR
 
     Per shot the displaced probe propagates through the balanced beam
     splitter; the p outcome of output mode 0 and the q outcome of output mode
-    1 are drawn from their exact marginals and rescaled by sqrt(2) K.
+    1 are drawn from their exact marginals (jitter of variance j adds j/2 to
+    each) and rescaled by sqrt(2) K.
     """
-    jq, jp = cfg.jitter if cfg.jitter is not None else (0.0, 0.0)
-    v_q, v_p = _scheme_geometry(cfg)
-    var_est_q = 2.0 * v_q + jq
-    var_est_p = 2.0 * v_p + jp
-    k = _resolve_k(cfg, var0=0.5 * (var_est_q + var_est_p))
-    sq, sp = np.sqrt(v_q), np.sqrt(v_p)
-
-    def sample(rng, actual_q, actual_p):
-        out_q = rng.normal(actual_q / _SQRT2, sq)
-        out_p = rng.normal(actual_p / _SQRT2, sp)
-        return out_q, out_p
-
-    def estimate(out_q, out_p):
-        return _SQRT2 * k * out_q, _SQRT2 * k * out_p
-
-    return _run(cfg, sample, estimate, var_est_q, var_est_p, k, record_shots)
+    return _simulate(cfg, _quadrature_variance(cfg), 2.0, record_shots)
 
 
 def run_baseline_heterodyne(cfg: EstimationConfig,
@@ -235,20 +258,10 @@ def run_baseline_heterodyne(cfg: EstimationConfig,
     """Simulate the coherent-probe heterodyne baseline.
 
     Both outcome quadratures carry the probe variance plus the heterodyne
-    vacuum unit, one full unit each for a coherent probe; K multiplies the
-    raw outcomes.
+    vacuum unit, one full unit each for a coherent probe, plus the jitter;
+    K multiplies the raw outcomes.
     """
-    jq, jp = cfg.jitter if cfg.jitter is not None else (0.0, 0.0)
-    var_est_q, var_est_p = 1.0 + jq, 1.0 + jp
-    k = _resolve_k(cfg, var0=0.5 * (var_est_q + var_est_p))
-
-    def sample(rng, actual_q, actual_p):
-        return rng.normal(actual_q, 1.0), rng.normal(actual_p, 1.0)
-
-    def estimate(out_q, out_p):
-        return k * out_q, k * out_p
-
-    return _run(cfg, sample, estimate, var_est_q, var_est_p, k, record_shots)
+    return _simulate(cfg, 1.0, 1.0, record_shots)
 
 
 @dataclass(frozen=True)
@@ -267,34 +280,18 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
     """Scan the estimator scaling K on common random draws of the scheme.
 
     The outcomes do not depend on K, so one set of draws serves the whole
-    grid; this keeps the empirical curve smooth in K.
+    grid, which keeps the empirical curve smooth in K.  The MSE is quadratic
+    in K: with o the outcomes and θ the true parameters,
+    M·MSE(K) = 2K²Σo² − 2√2·K·Σo·θ + Σθ², so three sums give every K.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size < 2 or np.any(k_grid <= 0) or np.any(k_grid > 1.0 + 1e-12):
         raise ValueError("k_grid must span values in (0, 1]")
     cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, N2=N2,
                            prior_delta=delta, workers=workers)
-    v_q, v_p = _scheme_geometry(cfg)
-    sq, sp = np.sqrt(v_q), np.sqrt(v_p)
-    children = np.random.SeedSequence(seed).spawn(workers)
-    sums = np.zeros(k_grid.size)
-
-    for w, n_w in enumerate(_worker_shot_counts(shots, workers)):
-        rng = np.random.Generator(np.random.Philox(children[w]))
-        done = 0
-        while done < n_w:
-            n = min(_CHUNK, n_w - done)
-            q0s = rng.normal(0.0, delta, n)
-            p0s = rng.normal(0.0, delta, n)
-            out_q = rng.normal(q0s / _SQRT2, sq)
-            out_p = rng.normal(p0s / _SQRT2, sp)
-            for i, k in enumerate(k_grid):
-                eq = _SQRT2 * k * out_q - q0s
-                ep = _SQRT2 * k * out_p - p0s
-                sums[i] += (eq * eq + ep * ep).sum()
-            done += n
-
-    mse = sums / shots
+    sd = np.sqrt(_quadrature_variance(cfg))
+    (s_oo, s_ot, s_tt), _ = _sample(cfg, _SQRT2, [sd, sd], scan=True)
+    mse = (2.0 * k_grid ** 2 * s_oo - 2.0 * _SQRT2 * k_grid * s_ot + s_tt) / shots
     best = int(np.argmin(mse))
     return KMinScan(k_grid=k_grid, mse=mse, k_star=float(k_grid[best]),
                     mse_star=float(mse[best]))

@@ -252,6 +252,19 @@ def test_simulate_dump_shots(capsys, tmp_path):
     mse = np.mean((rows[:, 5] - rows[:, 1]) ** 2 + (rows[:, 6] - rows[:, 2]) ** 2)
     assert np.isclose(mse, rec["results"]["mse_sum"])
 
+    # several chunks on two worker streams: every dumped chunk is its own
+    code, out, _ = run_cli(capsys, ["simulate", "--r", "0.5", "--N", "0.2",
+                                    "--shots", "150000", "--seed", "2",
+                                    "--workers", "2", "--prior-delta", "1.0",
+                                    "--dump-shots", str(path)])
+    assert code == 0
+    _, _, rows = read_csv(path)
+    assert rows.shape == (150_000, 7)
+    assert np.unique(rows[:, 3]).size == 150_000
+    assert np.unique(rows[:, 1]).size == 150_000
+    mse = np.mean((rows[:, 5] - rows[:, 1]) ** 2 + (rows[:, 6] - rows[:, 2]) ** 2)
+    assert np.isclose(mse, load_record(out)["results"]["mse_sum"])
+
 
 def test_figure_fig2_roundtrip(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["figure", "fig2", "--out", str(tmp_path),

@@ -1,9 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dispest import (EstimationConfig, empirical_K_min, run_baseline_heterodyne,
-                     run_scheme, scaling_factors, scheme_variance_sum,
-                     uncertainty_product)
+from dispest import (EstimationConfig, empirical_K_min, montecarlo,
+                     run_baseline_heterodyne, run_scheme, scaling_factors,
+                     scheme_variance_sum, uncertainty_product)
+from dispest.montecarlo import _CHUNK
+
+SQRT2 = np.sqrt(2.0)
 
 
 def scheme_cfg(**kw):
@@ -156,6 +162,17 @@ def test_per_shot_recording():
     recomputed = np.mean((res.per_shot["estimate_q"] - res.per_shot["q0"]) ** 2)
     assert np.isclose(recomputed, res.mse_q)
 
+    # two streams of two chunks each: the sampling buffers are reused, so a
+    # recorded chunk that aliased them would repeat the last chunk's draws
+    res = run_scheme(scheme_cfg(shots=150_000, workers=2), record_shots=True)
+    shots = res.per_shot
+    assert all(v.shape == (150_000,) for v in shots.values())
+    assert np.unique(shots["outcome_q"]).size == 150_000
+    assert np.unique(shots["estimate_p"]).size == 150_000
+    for quad in "qp":
+        err = (shots[f"estimate_{quad}"] - shots[f"{quad}0"]) ** 2
+        assert np.isclose(err.mean(), getattr(res, f"mse_{quad}"), rtol=1e-12)
+
 
 @pytest.mark.parametrize("maker,kw,target", [
     ("scheme", dict(r=1.0, N=0.5, q0=0.7, p0=-0.3),
@@ -173,3 +190,129 @@ def test_meta_coverage_over_seeds(maker, kw, target):
         if abs(res.mse_sum - target) < 4 * res.se_mse_sum:
             hits += 1
     assert hits >= 19
+
+
+def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
+                    div=SQRT2):
+    """The sampling loop of the seed stream contract, with Generator.normal:
+    per stream and per chunk of _CHUNK shots, draw (q0, p0) from the prior if
+    there is one, then out_q and out_p, each a block of the chunk's size."""
+    children = np.random.SeedSequence(seed).spawn(workers)
+    theta, outcomes = [], []
+    base, extra = divmod(shots, workers)
+    for w in range(workers):
+        rng = np.random.Generator(np.random.Philox(children[w]))
+        n_w = base + (w < extra)
+        for done in range(0, n_w, _CHUNK):
+            n = min(_CHUNK, n_w - done)
+            if delta is not None:
+                tq, tp = rng.normal(0.0, delta, n), rng.normal(0.0, delta, n)
+            else:
+                tq, tp = np.full(n, q0), np.full(n, p0)
+            theta.append((tq, tp))
+            outcomes.append((rng.normal(tq / div, sd), rng.normal(tp / div, sd)))
+    return np.concatenate(theta, axis=1), np.concatenate(outcomes, axis=1)
+
+
+@pytest.mark.parametrize("baseline,kw", [
+    (False, dict(r=0.7, N=0.3, q0=0.4, p0=-0.2)),
+    (False, dict(r=1.1, N=0.2, N2=0.6, prior_delta=1.5, scaling="optimal")),
+    (True, dict(prior_delta=2.0, scaling="coherent")),
+])
+def test_stream_contract(baseline, kw):
+    """Without jitter every recorded draw equals Generator.normal on the
+    worker's Philox substream, in the order (q0, p0, out_q, out_p) per chunk."""
+    cfg = EstimationConfig(shots=150_001, seed=13, workers=2, **kw)
+    runner = run_baseline_heterodyne if baseline else run_scheme
+    res = runner(cfg, record_shots=True)
+    sd = 1.0 if baseline else np.sqrt(scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4)
+    theta, outcomes = reference_draws(
+        cfg.seed, cfg.workers, cfg.shots, sd, q0=cfg.q0, p0=cfg.p0,
+        delta=cfg.prior_delta, div=1.0 if baseline else SQRT2)
+    gain = res.k_used if baseline else SQRT2 * res.k_used
+    shots = res.per_shot
+    for i, quad in enumerate("qp"):
+        assert np.array_equal(shots[f"{quad}0"], theta[i])
+        assert np.array_equal(shots[f"outcome_{quad}"], outcomes[i])
+        assert np.array_equal(shots[f"estimate_{quad}"], gain * outcomes[i])
+        err = (gain * outcomes[i] - theta[i]) ** 2
+        assert np.isclose(err.mean(), getattr(res, f"mse_{quad}"), rtol=1e-12)
+
+
+def test_k_scan_exact():
+    """The K scan from three sums equals the explicit per-K sums."""
+    r, N, delta, shots, seed = 1.5, 0.2, 3.0, 150_000, 21
+    k_grid = np.linspace(0.8, 1.0, 41)
+    scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed, workers=2)
+    sd = np.sqrt(scheme_variance_sum(r, N) / 4)
+    (tq, tp), (oq, op) = reference_draws(seed, 2, shots, sd, delta=delta)
+    explicit = np.array([(((SQRT2 * k * oq - tq) ** 2).sum()
+                           + ((SQRT2 * k * op - tp) ** 2).sum()) / shots
+                          for k in k_grid])
+    assert np.allclose(scan.mse, explicit, rtol=1e-12, atol=0)
+    assert scan.k_star == k_grid[np.argmin(explicit)]
+    assert scan.mse_star == scan.mse.min()
+
+
+class _NoThreads:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no thread pool should start")
+
+
+def test_short_streams_run_inline(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _NoThreads)
+    res = run_scheme(scheme_cfg(shots=20_000, workers=64))
+    assert res.shots == 20_000 and np.isfinite(res.mse_sum)
+    run_scheme(scheme_cfg(shots=4000, workers=2, N2=0.4))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    run_scheme(scheme_cfg(shots=3 * _CHUNK, workers=3))
+
+
+def test_threaded_streams_match_serial(monkeypatch):
+    """The pool has at most one thread per core, and merging in stream order
+    makes the threaded run bit-identical to running the streams serially."""
+    pools = []
+
+    class Spy(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Spy)
+    cfg = scheme_cfg(shots=3 * _CHUNK + 5, workers=3, prior_delta=1.0, q0=None,
+                     p0=None, scaling="optimal")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threaded = run_scheme(cfg, record_shots=True)
+    kmin_threaded = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
+                                    workers=3)
+    assert pools == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = run_scheme(cfg, record_shots=True)
+    kmin_serial = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
+                                  workers=3)
+    assert pools == [2, 2]
+    for key, values in serial.per_shot.items():
+        assert np.array_equal(threaded.per_shot[key], values)
+    assert (threaded.mse_sum, threaded.se_mse_sum, threaded.mean_q) == (
+        serial.mse_sum, serial.se_mse_sum, serial.mean_q)
+    assert np.array_equal(kmin_threaded.mse, kmin_serial.mse)
+
+
+_jitter = st.none() | st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, 2.0), N=st.floats(0.0, 2.0),
+       N2=st.none() | st.floats(0.0, 2.0),
+       theta=st.tuples(st.floats(-2, 2), st.floats(-2, 2)) | st.floats(0.1, 5.0),
+       jitter=_jitter, workers=st.integers(1, 3),
+       shots=st.integers(100, 2 * _CHUNK), seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_runs_bit_identical(r, N, N2, theta, jitter, workers, shots, seed):
+    fixed = isinstance(theta, tuple)
+    cfg = EstimationConfig(
+        shots=shots, seed=seed, r=r, N=N, N2=N2, jitter=jitter, workers=workers,
+        q0=theta[0] if fixed else None, p0=theta[1] if fixed else None,
+        prior_delta=None if fixed else theta)
+    a, b = run_scheme(cfg), run_scheme(cfg)
+    assert (a.mean_q, a.mean_p, a.mse_q, a.mse_p, a.se_mse_sum) == (
+        b.mean_q, b.mean_p, b.mse_q, b.mse_p, b.se_mse_sum)
