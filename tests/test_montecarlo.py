@@ -194,9 +194,9 @@ def test_meta_coverage_over_seeds(maker, kw, target):
 
 def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
                     div=SQRT2):
-    """The sampling loop of the seed stream contract, with Generator.normal:
-    per stream and per chunk of _CHUNK shots, draw (q0, p0) from the prior if
-    there is one, then out_q and out_p, each a block of the chunk's size."""
+    """The stream contract, drawn with Generator.normal: per worker stream and
+    per chunk of _CHUNK shots, draw (q0, p0) from the prior if there is one,
+    then out_q and out_p, each a block of the chunk's size."""
     children = np.random.SeedSequence(seed).spawn(workers)
     theta, outcomes = [], []
     base, extra = divmod(shots, workers)
