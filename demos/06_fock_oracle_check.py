@@ -3,9 +3,11 @@ Brute-force Fock oracle vs closed Gaussian forms
 ================================================
 
 The truncated Fock-space oracle evaluates the spectral SLD sum and the RLD
-trace formula directly on probes built in a truncated Fock space.  This demo
-compares it entrywise against the covariance-based closed forms on a small
-grid and shows the truncation controls.
+trace formula directly on probes built in a truncated Fock space, over the
+thermal-adjacent level pairs that the generators couple, so the RLD needs no
+floor on the probe inverse.  This demo compares it entrywise against the
+covariance-based closed forms on a small grid and shows the truncation
+controls.
 """
 
 import numpy as np

@@ -1,19 +1,27 @@
 """Truncated Fock-space oracle for displacement-estimation Fisher matrices.
 
 Probes are built by applying exponentiated squeezing generators to thermal
-density matrices.  The SLD Fisher matrix comes from the spectral sum over
-eigenpairs of the probe, the RLD Fisher matrix from the operator-trace
-formula; both use the displacement generators G_q0 = p_hat and G_p0 = -q_hat
-of the displaced mode.  This module is the slow ground-truth path used to
-validate the closed Gaussian forms.
+density matrices, so their eigenvalues are thermal level probabilities p_s.
+The SLD Fisher matrix is the spectral sum over eigenpairs, the RLD Fisher
+matrix the operator-trace sum, of T_st = <u_s|G|u_t> for the displacement
+generators G_q0 = p_hat and G_p0 = -q_hat of the displaced mode.  This module
+is the slow ground-truth path used to validate the closed Gaussian forms.
 
 Two-mode squeezing conserves the photon-number difference n - m, so the
 squeezer, the probe eigenbasis and the generator couplings all decompose over
 difference sectors; single-mode squeezing keeps photon-number parity.  Each
 such block of a squeezer is the exponential of a real antisymmetric
-tridiagonal matrix.  build_probe_fock keeps the two-mode block form, which
-lets the oracle run at large truncations; a dense eigendecomposition path is
-kept for generic (e.g. displaced) probes and for validating the block path.
+tridiagonal matrix.  The generators are linear in a and a†, and so are their
+squeezed images, so T couples only thermal levels one step apart: n to n ± 1,
+and (n, m) to (n + 1, m) and (n, m - 1) between sectors d and d + 1.  On
+those pairs p_t/p_s is N/(N + 1) or its inverse, so no weight amplifies
+roundoff and no inverse floor is needed.  Built probes take one pass per
+displaced mode over those pairs only, with weights from log probabilities.
+The rule fails near the truncation edge, so the pass also reports the
+leakage max_s p_s (sum_t T_st^2 - adjacent part), where the full sum is
+||G u_s||^2 by orthogonality; fock_fisher_converged rejects a probe whose
+leakage exceeds its tolerance.  Dense probes, such as displaced ones
+(displace_fock), take the full T with rho^-1 above an inverse floor.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from scipy.linalg import eigh_tridiagonal, expm
 _SQRT2 = np.sqrt(2.0)
 
 DEFAULT_TAIL_TOL = 1e-10
-DEFAULT_SLD_TOL = 1e-12   # skip spectral pairs with p_s + p_t below this
-DEFAULT_INV_FLOOR = 1e-10  # eigenvalues below this are outside the rho^-1 support
+DEFAULT_SLD_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
+DEFAULT_INV_FLOOR = 1e-10  # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
 
 
@@ -57,16 +65,14 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def thermal_probs(N: float, dim: int) -> np.ndarray:
-    """Occupation probabilities N^n / (N+1)^(n+1) of a thermal state."""
+def thermal_log_probs(N: float, dim: int) -> np.ndarray:
+    """Log occupation probabilities log(N^n / (N+1)^(n+1)) of a thermal state."""
     if N < 0:
         raise ValueError("mean photon number must be nonnegative")
-    if N == 0:
-        out = np.zeros(dim)
-        out[0] = 1.0
-        return out
     n = np.arange(dim)
-    return np.exp(n * np.log(N / (N + 1.0)) - np.log(N + 1.0))
+    if N == 0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * np.log(N / (N + 1.0)) - np.log(N + 1.0)
 
 
 def _expm_tridiagonal(c: np.ndarray) -> np.ndarray:
@@ -114,8 +120,9 @@ def _sector_squeeze_blocks(r: float, dim: int) -> list:
 def _coupling(dim: int, d: int, mode: int) -> tuple[slice, slice, np.ndarray]:
     """q_mode between sectors d and d+1: <d, rows_d[j]| q |d+1, rows_e[j]> = w[j].
 
-    All other elements are zero, and the p_mode block is the entrywise
-    negative of this one: one raising/lowering path connects the sectors.
+    All other elements are zero, and the block of (a - a†)/sqrt(2) = i p_mode
+    is this one times +1 for mode 0 and -1 for mode 1: one raising/lowering
+    path connects the sectors.
     """
     size = dim - max(abs(d), abs(d + 1))
     k = np.arange(size)
@@ -129,63 +136,52 @@ def _coupling(dim: int, d: int, mode: int) -> tuple[slice, slice, np.ndarray]:
 
 @dataclass(frozen=True)
 class FockOperatorSet:
-    """Truncated operators and probe density matrix for the oracle.
+    """Truncated probe for the oracle.
 
-    For probes built by build_probe_fock the exact spectral decomposition
-    (thermal eigenvalues, exponentiated squeezer as eigenbasis) is carried
-    along; two-mode probes keep it in difference-sector blocks.
+    Built probes carry eigenvector blocks (one per difference sector for two
+    modes, one dense block for one mode) and the thermal log probabilities of
+    their columns; other probes, such as displaced ones, a dense density
+    matrix.
     """
 
     kind: str
     params: tuple
     dim: int
     modes: int
-    a: np.ndarray
-    adag: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    eigs: np.ndarray | None = None
-    basis: np.ndarray | None = None
     rho_dense: np.ndarray | None = None
-    sector_U: list | None = field(default=None, repr=False)
-    sector_probs: list | None = field(default=None, repr=False)
+    blocks: list | None = field(default=None, repr=False)
+    log_probs: list | None = field(default=None, repr=False)
 
     @property
     def hilbert_dim(self) -> int:
         return self.dim ** self.modes
 
+    q = property(lambda self: quadratures(self.dim)[0], doc="q on one mode")
+    p = property(lambda self: quadratures(self.dim)[1], doc="p on one mode")
+
+    def _block_states(self) -> list:
+        """Fock indices of the rows of each eigenvector block."""
+        if self.modes == 1:
+            return [np.arange(self.dim)]
+        return [_sector_states(self.dim, d) for d in range(1 - self.dim, self.dim)]
+
     @property
     def rho0(self) -> np.ndarray:
-        """Dense probe density matrix (assembled on demand for sector sets)."""
+        """Dense probe density matrix (assembled on demand for built probes)."""
         if self.rho_dense is not None:
             return self.rho_dense
         rho = np.zeros((self.hilbert_dim, self.hilbert_dim))
-        for d, (U, pd) in enumerate(zip(self.sector_U, self.sector_probs)):
-            idx = _sector_states(self.dim, d - (self.dim - 1))
-            rho[np.ix_(idx, idx)] = (U * pd) @ U.T
+        for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
+            rho[np.ix_(idx, idx)] = (U * np.exp(lp)) @ U.T
         return rho
 
-    def dense_basis(self) -> np.ndarray:
-        """Dense eigenvector matrix; columns ordered to match eigenvalues()."""
-        if self.basis is not None:
-            return self.basis
-        B = np.zeros((self.hilbert_dim, self.hilbert_dim))
-        col = 0
-        for d, U in enumerate(self.sector_U):
-            idx = _sector_states(self.dim, d - (self.dim - 1))
-            B[idx, col:col + idx.size] = U
-            col += idx.size
-        return B
-
     def eigenvalues(self) -> np.ndarray:
-        if self.eigs is not None:
-            return self.eigs
-        if self.sector_probs is not None:
-            return np.concatenate(self.sector_probs)
+        if self.log_probs is not None:
+            return np.exp(np.concatenate(self.log_probs))
         return np.clip(np.linalg.eigvalsh(self.rho_dense), 0.0, None)
 
     def purity(self) -> float:
-        if self.eigs is None and self.sector_probs is None:
+        if self.log_probs is None:
             return float(np.sum(np.abs(self.rho_dense) ** 2).real)
         return float(np.sum(self.eigenvalues() ** 2))
 
@@ -194,9 +190,8 @@ class FockOperatorSet:
         if self.rho_dense is not None:
             return np.real(np.diag(self.rho_dense)).copy()
         diag = np.zeros(self.hilbert_dim)
-        for d, (U, pd) in enumerate(zip(self.sector_U, self.sector_probs)):
-            idx = _sector_states(self.dim, d - (self.dim - 1))
-            diag[idx] = (U ** 2) @ pd
+        for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
+            diag[idx] = (U ** 2) @ np.exp(lp)
         return diag
 
     def tail_mass(self) -> float:
@@ -257,7 +252,7 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
     tail_tol : float
         Maximum probability allowed in the top 10% of Fock levels, measured
         on the built probe; the truncation escalates until this holds, or
-        TruncationError is raised.
+        TruncationError is raised.  With tail_tol = inf nothing is measured.
     """
     if kind not in ("single", "tmst", "tmst_asym"):
         raise ValueError(f"unknown probe kind '{kind}'")
@@ -281,6 +276,8 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
 
     while True:
         probe = _build_at_dim(kind, r, N, N2, dim)
+        if tail_tol == np.inf:
+            return probe
         tail = probe.tail_mass()
         if tail < tail_tol:
             return probe
@@ -293,39 +290,98 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
 
 def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
                   dim: int) -> FockOperatorSet:
-    a = ladder(dim).astype(complex)
-    q, p = quadratures(dim)
-    ops = dict(kind=kind, params=(r, N) if N2 is None else (r, N, N2), dim=dim,
-               a=a, adag=a.conj().T, q=q, p=p)
-    p1 = thermal_probs(N, dim)
+    ops = dict(kind=kind, params=(r, N) if N2 is None else (r, N, N2), dim=dim)
+    lp = thermal_log_probs(N, dim)
     if kind == "single":
-        U = _single_squeeze_unitary(r, dim)
-        return FockOperatorSet(modes=1, eigs=p1, basis=U, rho_dense=(U * p1) @ U.T, **ops)
-    joint = np.outer(p1, thermal_probs(N if N2 is None else N2, dim)).ravel()
-    return FockOperatorSet(modes=2, sector_U=_sector_squeeze_blocks(r, dim),
-                           sector_probs=[joint[_sector_states(dim, d)]
-                                         for d in range(-(dim - 1), dim)], **ops)
+        return FockOperatorSet(modes=1, blocks=[_single_squeeze_unitary(r, dim)],
+                               log_probs=[lp], **ops)
+    joint = np.add.outer(lp, thermal_log_probs(N if N2 is None else N2, dim)).ravel()
+    return FockOperatorSet(modes=2, blocks=_sector_squeeze_blocks(r, dim),
+                           log_probs=[joint[_sector_states(dim, d)]
+                                      for d in range(1 - dim, dim)], **ops)
 
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
     D = expm(1j * p0 * probe.q_mode(mode) - 1j * q0 * probe.p_mode(mode))
-    rho = D @ probe.rho0 @ D.conj().T
-    basis = D @ probe.dense_basis()
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
-                           modes=probe.modes, a=probe.a, adag=probe.adag,
-                           q=probe.q, p=probe.p, eigs=probe.eigenvalues(),
-                           basis=basis, rho_dense=rho)
+                           modes=probe.modes, rho_dense=D @ probe.rho0 @ D.conj().T)
+
+
+def _single_mode_pairs(probe: FockOperatorSet, mode: int):
+    """T of (a - a†)/sqrt(2) and q on the level pairs (s, s + 1), and each
+    column's full sum minus its pairs.  Both operators are tridiagonal, so
+    their products with U cost O(dim^2)."""
+    U, lp = probe.blocks[0], probe.log_probs[0]
+    s = np.sqrt(np.arange(1.0, probe.dim) / 2.0)[:, None]
+    zero = np.zeros((1, probe.dim))
+    up, down = np.vstack((s * U[1:], zero)), np.vstack((zero, s * U[:-1]))
+    t, rest = [], []
+    for GU in (up - down, up + down):
+        t.append(np.einsum("ij,ij->j", U[:, :-1], GU[:, 1:]))
+        rest.append(np.einsum("ij,ij->j", GU, GU))
+        rest[-1][:-1] -= t[-1] ** 2
+        rest[-1][1:] -= t[-1] ** 2
+    return t[0], t[1], lp[:-1], lp[1:], np.maximum(*rest)
+
+
+def _sector_pairs(probe: FockOperatorSet, mode: int):
+    """As _single_mode_pairs, for the pairs of adjacent sectors d, d + 1:
+    T's diagonals k = j and k = j + 1 (d < 0) or j - 1 (d >= 0), which pair
+    the first and the last m columns of both, m the smaller sector size."""
+    U, lp = probe.blocks, probe.log_probs
+    t, ls, lt = [], [], []
+    rest = [np.zeros(x.size) for x in lp]
+    for i, d in enumerate(range(1 - probe.dim, probe.dim - 1)):
+        rows_d, rows_e, c = _coupling(probe.dim, d, mode)
+        A, B = c[:, None] * U[i][rows_d], U[i + 1][rows_e]
+        m = min(A.shape[1], B.shape[1])
+        t0 = np.einsum("ij,ij->j", A[:, :m], B[:, :m])
+        t1 = np.einsum("ij,ij->j", A[:, -m:], B[:, -m:])
+        t += [t0, t1]
+        ls += [lp[i][:m], lp[i][-m:]]
+        lt += [lp[i + 1][:m], lp[i + 1][-m:]]
+        for j, GU in ((i, A), (i + 1, c[:, None] * B)):
+            rest[j] += np.einsum("ij,ij->j", GU, GU)
+            rest[j][:m] -= t0 ** 2
+            rest[j][-m:] -= t1 ** 2
+    t = np.concatenate(t)
+    return ((t if mode == 0 else -t), t, np.concatenate(ls), np.concatenate(lt),
+            np.concatenate(rest))
+
+
+def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
+    """H, J (None unless rld) and the leakage of a built probe.
+
+    Per pair, with G_q0 = -i T_a and G_p0 = -T_q: H = 4 sum (p_s - p_t)^2
+    /(p_s + p_t) diag(T_a^2, T_q^2), diag J = sum (p_s - p_t)^2 (1/p_s + 1/p_t)
+    (T_a^2, T_q^2), J_qp = i sum (p_s - p_t)^2 (1/p_s - 1/p_t) T_a T_q.
+    """
+    if not 0 <= mode < probe.modes:
+        raise ValueError("mode index out of range")
+    pairs = _single_mode_pairs if probe.modes == 1 else _sector_pairs
+    ta, tq, ls, lt, rest = pairs(probe, mode)
+    leakage = np.max(np.exp(np.concatenate(probe.log_probs)) * rest)
+    hi, lo = np.maximum(ls, lt), np.minimum(ls, lt)
+    # e = p_lo / p_hi <= 1, and 0 where both probabilities are 0
+    e = np.exp(lo - np.where(hi > -np.inf, hi, 0.0))
+    w = np.exp(hi) * (1.0 - e) ** 2                  # (p_s - p_t)^2 / p_hi
+    h = 4.0 * w / (1.0 + e)
+    H = np.diag([h @ ta ** 2, h @ tq ** 2])
+    if not rld:
+        return H, None, leakage
+    # a level of probability 0 (a rank-deficient probe) leaves no rho^-1
+    if probe.purity() > 1.0 - _PURITY_TOL or np.isneginf(lo).any():
+        raise PureStateError("RLD undefined for pure or rank-deficient probes")
+    j = w * (1.0 + e) / e
+    jqp = 1j * np.sum(np.sign(lt - ls) * w * (1.0 - e) / e * ta * tq)
+    return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
 
 
 def _dense_generators(probe: FockOperatorSet, mode: int):
     """Probe eigenvalues and G_q0 = p, G_p0 = -q in the probe eigenbasis."""
-    if probe.eigs is not None and probe.basis is not None:
-        eigs, basis = probe.eigs, probe.basis
-    else:
-        eigs, basis = np.linalg.eigh(probe.rho0)
-        eigs = np.clip(eigs, 0.0, None)
-    return (eigs, basis.conj().T @ probe.p_mode(mode) @ basis,
+    eigs, basis = np.linalg.eigh(probe.rho0)
+    return (np.clip(eigs, 0.0, None), basis.conj().T @ probe.p_mode(mode) @ basis,
             -(basis.conj().T @ probe.q_mode(mode) @ basis))
 
 
@@ -334,12 +390,13 @@ def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
     """SLD Fisher matrix H for the displacement pair (q0, p0).
 
     Spectral sum over eigenpairs of the probe with weights
-    p_s ((p_s - p_t)/(p_s + p_t))^2; pairs with p_s + p_t below pair_tol are
-    skipped (support-orthogonal sectors carry no information).
+    p_s ((p_s - p_t)/(p_s + p_t))^2.  Built probes sum the thermal-adjacent
+    pairs only (module docstring); the dense route skips pairs with
+    p_s + p_t below pair_tol (support-orthogonal sectors carry no
+    information).
     """
-    if probe.sector_U is not None:
-        hqq, _, _ = _sector_sums(probe, displaced_mode, pair_tol, None)
-        return np.diag([hqq, hqq])
+    if probe.blocks is not None:
+        return _fisher_pass(probe, displaced_mode, rld=False)[0]
 
     eigs, gq, gp = _dense_generators(probe, displaced_mode)
     ps, pt = eigs[:, None], eigs[None, :]
@@ -353,22 +410,17 @@ def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
 
 def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
                     inv_floor: float = DEFAULT_INV_FLOOR) -> np.ndarray:
-    """RLD Fisher matrix J, Hermitian, using rho^-1 on its numerical support.
+    """RLD Fisher matrix J, Hermitian.
 
-    Raises PureStateError when the probe has no usable inverse (pure states),
-    in which case callers fall back to closed-form limits.
+    Built probes sum the thermal-adjacent pairs only (module docstring); the
+    dense route uses rho^-1 on the eigenvalues above inv_floor.  Raises
+    PureStateError when the probe has no inverse (pure or rank-deficient
+    probes), in which case callers fall back to closed-form limits.
     """
+    if probe.blocks is not None:
+        return _fisher_pass(probe, displaced_mode)[1]
     if probe.purity() > 1.0 - _PURITY_TOL:
         raise PureStateError("RLD undefined for pure states")
-    # built probes carry exact thermal eigenvalues; exact zeros mean the
-    # probe is not full rank and rho^-1 does not exist
-    built = probe.eigs is not None or probe.sector_probs is not None
-    if built and np.any(probe.eigenvalues() == 0.0):
-        raise PureStateError("RLD undefined for pure states (probe is rank deficient)")
-
-    if probe.sector_U is not None:
-        _, jdiag, jqp = _sector_sums(probe, displaced_mode, None, inv_floor)
-        return np.array([[jdiag, jqp], [np.conj(jqp), jdiag]])
 
     eigs, gq, gp = _dense_generators(probe, displaced_mode)
     if np.count_nonzero(eigs > inv_floor) < 2:
@@ -380,42 +432,6 @@ def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
     return 0.5 * (J + J.conj().T)
 
 
-def _sector_sums(probe: FockOperatorSet, displaced_mode: int,
-                 pair_tol: float | None, inv_floor: float | None):
-    """Accumulate the spectral SLD sum, or with inv_floor the RLD trace sums.
-
-    The generator couplings only connect adjacent difference sectors, and the
-    p coupling block is the negative of the q block, so a single transformed
-    block per sector pair carries everything.  Isotropy (H_qq = H_pp,
-    J_qq = J_pp, H_qp = 0) is structural for these probes.
-    """
-    dim = probe.dim
-    # Sector (d, d+1) lowers n for mode 0 but raises m for mode 1, which
-    # flips the sign relating the p block to the q block.
-    sign = -1.0 if displaced_mode == 0 else 1.0
-    hqq = jdiag = jqp_imag = 0.0
-    for d in range(-(dim - 1), dim - 1):
-        Ud, Ue = probe.sector_U[d + dim - 1], probe.sector_U[d + dim]
-        rows_d, rows_e, c = _coupling(dim, d, displaced_mode)
-        T2 = (Ud[rows_d].T @ (c[:, None] * Ue[rows_e])) ** 2
-
-        pd, pe = probe.sector_probs[d + dim - 1], probe.sector_probs[d + dim]
-        a, b = pd[:, None], pe[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if inv_floor is not None:
-                # (a - b)^2 / a and / b on the rho^-1 support, summed against T2
-                inv_d = np.where(pd > inv_floor, 1.0 / pd, 0.0)
-                inv_e = np.where(pe > inv_floor, 1.0 / pe, 0.0)
-                M = (a - b) ** 2 * T2
-                rows, cols = inv_d @ M.sum(axis=1), inv_e @ M.sum(axis=0)
-                jdiag += rows + cols
-                jqp_imag += sign * (cols - rows)
-            else:
-                w = np.where(a + b > pair_tol, (a + b) * ((a - b) / (a + b)) ** 2, 0.0)
-                hqq += 4.0 * np.sum(w * T2)
-    return hqq, jdiag, 1j * jqp_imag
-
-
 def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
     """Trace moments tr[rho0 * prod(ops)] for validation against Gaussian moments.
 
@@ -423,7 +439,8 @@ def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
     {'q', 'p', 'a', 'adag'}, multiplied left to right.
     """
     rho = probe.rho0
-    table = {"q": probe.q, "p": probe.p, "a": probe.a, "adag": probe.adag}
+    q, p = quadratures(probe.dim)
+    table = {"q": q, "p": p, "a": (q + 1j * p) / _SQRT2, "adag": (q - 1j * p) / _SQRT2}
     out = []
     for monomial in monomials:
         per_mode = [np.eye(probe.dim, dtype=complex) for _ in range(probe.modes)]
@@ -443,13 +460,20 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
 def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
                           dim: int | None = None, step: int = 5,
                           tol: float = 1e-8, **build_kwargs):
-    """Compute (H, J) at dim and dim + step and insist they agree within tol."""
+    """Compute (H, J) at dim and dim + step and insist they agree within tol.
+
+    The probe's selection-rule leakage (module docstring) must also stay
+    within tol.
+    """
     probe = build_probe_fock(kind, r, N, N2, dim=dim, **build_kwargs)
+    H1, J1, leakage = _fisher_pass(probe)
+    if leakage > tol:
+        raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",
+                              tail_mass=probe.tail_mass())
     bigger = build_probe_fock(kind, r, N, N2, dim=probe.dim + step,
                               **{**build_kwargs, "auto_escalate": False,
                                  "tail_tol": np.inf})
-    H1, H2 = sld_fisher_fock(probe), sld_fisher_fock(bigger)
-    J1, J2 = rld_fisher_fock(probe), rld_fisher_fock(bigger)
+    H2, J2, _ = _fisher_pass(bigger)
     drift = max(np.max(np.abs(H1 - H2)), np.max(np.abs(J1 - J2)))
     if drift > tol:
         raise TruncationError(

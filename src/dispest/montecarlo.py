@@ -58,6 +58,8 @@ class EstimationConfig:
             raise ValueError("shots must be at least 100")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > self.shots:
+            raise ValueError("workers must not exceed shots")
         fixed = self.q0 is not None or self.p0 is not None
         if fixed and (self.q0 is None or self.p0 is None):
             raise ValueError("q0 and p0 must be given together")
@@ -186,7 +188,9 @@ def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
     """
     counts = _worker_shot_counts(cfg.shots, cfg.workers)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    threads = min(cfg.workers, os.cpu_count() or 1) if counts[-1] >= _CHUNK else 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    threads = min(cfg.workers, cores) if counts[-1] >= _CHUNK else 1
     lanes = [[np.empty(2 * min(_CHUNK, counts[0])) for _ in range(4)]
              for _ in range(threads)]
     sd = np.reshape(sd, (2, 1))

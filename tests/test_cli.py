@@ -96,6 +96,8 @@ def test_bounds_csv_format(capsys):
      "--q0", "0", "--p0", "0"],
     ["simulate", "--r", "1", "--N", "0", "--shots", "1000", "--q0", "0",
      "--p0", "0", "--scaling", "bogus"],
+    ["simulate", "--r", "1", "--N", "0", "--shots", "100", "--q0", "0",
+     "--p0", "0", "--workers", "101"],
     ["sweep", "--quantity", "gap", "--probe", "single"],
     ["figure", "fig2", "--steps", "1"],
     ["nonsense"],

@@ -13,8 +13,7 @@ from dispest import (FockOperatorSet, PureStateError, TruncationError,
 def dense_copy(probe):
     """Strip the sector decomposition to force the generic dense path."""
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
-                           modes=probe.modes, a=probe.a, adag=probe.adag,
-                           q=probe.q, p=probe.p, rho_dense=probe.rho0)
+                           modes=probe.modes, rho_dense=probe.rho0)
 
 
 def test_vacuum_probe_is_ground_state():
@@ -121,15 +120,64 @@ def test_entrywise_equivalence_with_gaussian_forms(r, N):
     assert np.allclose(j_inv, fm.j_inv, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("mode", [0, 1])
-def test_sector_path_matches_dense_path(mode):
-    probe = build_probe_fock("tmst_asym", 0.4, 0.6, 0.25, dim=18,
-                             tail_tol=np.inf, auto_escalate=False)
+# The dense route includes every pair and takes rho^-1 above an inverse
+# floor.  Its default floor (1e-10) biases J by ~1e-7 at these dims, and
+# floors below ~1e-13 let roundoff in far pairs through; at 1e-12 both stay
+# below the tolerance.
+PASS_PROBES = {"tmst_asym": ("tmst_asym", 0.3, 0.3, 0.15), "single": ("single", 0.4, 0.6)}
+
+
+@pytest.mark.parametrize("kind,mode", [("tmst_asym", 0), ("tmst_asym", 1), ("single", 0)])
+def test_adjacent_pass_matches_dense_route(kind, mode):
+    probe = build_probe_fock(*PASS_PROBES[kind])
     dense = dense_copy(probe)
     assert np.allclose(sld_fisher_fock(probe, mode), sld_fisher_fock(dense, mode),
                        atol=1e-9)
-    assert np.allclose(rld_fisher_fock(probe, mode), rld_fisher_fock(dense, mode),
-                       atol=1e-8)
+    assert np.allclose(rld_fisher_fock(probe, mode),
+                       rld_fisher_fock(dense, mode, inv_floor=1e-12), atol=1e-8)
+
+
+@pytest.mark.parametrize("args,dim", [(("tmst_asym", 0.4, 0.6, 0.25), 18),
+                                      (("single", 0.4, 0.6), 20)])
+def test_leakage_rejects_too_small_dim(args, dim):
+    probe = build_probe_fock(*args, dim=dim, tail_tol=np.inf)
+    assert fock._fisher_pass(probe)[2] > 1e-8
+    with pytest.raises(TruncationError, match="leakage"):
+        fock_fisher_converged(*args, dim=dim, tail_tol=np.inf)
+
+
+def relative_errors(kind, r, N, H, J):
+    fm = gaussian_fisher(make_squeezed_thermal(r, N) if kind == "single"
+                         else make_tmst(r, N))
+    return (np.abs(H - fm.H).max() / np.abs(fm.H).max(),
+            np.abs(np.linalg.inv(J) - fm.j_inv).max() / np.abs(fm.j_inv).max())
+
+
+@pytest.mark.parametrize("kind,r,N", [("single", 1.0, 0.2), ("tmst", 0.6, 0.1)])
+def test_fault_b_points_need_no_inverse_floor(kind, r, N):
+    probe = build_probe_fock(kind, r, N)
+    bigger = build_probe_fock(kind, r, N, dim=probe.dim + 5, tail_tol=np.inf)
+    _, J, leakage = fock._fisher_pass(probe)
+    assert leakage <= 1e-10
+    assert np.abs(J - fock._fisher_pass(bigger)[1]).max() < 1e-8
+    assert np.array_equal(rld_fisher_fock(probe, inv_floor=0.5), J)
+    assert max(relative_errors(kind, r, N, *fock_fisher_converged(kind, r, N))) < 1e-9
+
+
+def test_low_occupation_scan_converges():
+    worst = 0.0
+    for kind in ("single", "tmst"):
+        for r in np.linspace(0.1, 0.8, 8):
+            for N in np.linspace(0.05, 0.45, 9):
+                H, J = fock_fisher_converged(kind, r, N)
+                worst = max(worst, *relative_errors(kind, r, N, H, J))
+    assert worst < 1e-8
+
+
+def test_oracle_reaches_single_at_r_2():
+    # analytic dim ~2100, and the thermal levels above ~1075 underflow to 0
+    H, J = fock_fisher_converged("single", 2.0, 1.0, max_dim=2200)
+    assert max(relative_errors("single", 2.0, 1.0, H, J)) < 1e-6
 
 
 def test_fisher_independent_of_displacement():
@@ -268,3 +316,8 @@ def test_oracle_reaches_tmst_at_r_1_5():
     j_inv = np.linalg.inv(rld_fisher_fock(probe))
     assert np.abs(H - fm.H).max() / np.abs(fm.H).max() < 1e-6
     assert np.abs(j_inv - fm.j_inv).max() / np.abs(fm.j_inv).max() < 1e-6
+
+
+def test_verification_build_skips_tail_mass(tail_calls):
+    fock_fisher_converged("tmst", 0.3, 0.5)
+    assert len(tail_calls) == 1

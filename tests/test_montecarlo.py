@@ -12,6 +12,12 @@ from dispest.montecarlo import _CHUNK
 SQRT2 = np.sqrt(2.0)
 
 
+def set_cores(monkeypatch, n):
+    """Make this process's CPU affinity report n cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def scheme_cfg(**kw):
     base = dict(shots=50_000, seed=11, r=1.0, N=0.5, q0=0.7, p0=-0.3)
     base.update(kw)
@@ -49,6 +55,8 @@ def test_config_validation():
         EstimationConfig(shots=1000, seed=0, prior_delta=np.inf)
     with pytest.raises(ValueError):
         EstimationConfig(**base, jitter=(np.nan, 0.0))
+    with pytest.raises(ValueError):
+        EstimationConfig(**{**base, "shots": 100, "workers": 101})
 
 
 def test_bit_reproducibility():
@@ -264,8 +272,16 @@ def test_short_streams_run_inline(monkeypatch):
     res = run_scheme(scheme_cfg(shots=20_000, workers=64))
     assert res.shots == 20_000 and np.isfinite(res.mse_sum)
     run_scheme(scheme_cfg(shots=4000, workers=2, N2=0.4))
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    set_cores(monkeypatch, 1)
     run_scheme(scheme_cfg(shots=3 * _CHUNK, workers=3))
+
+
+def test_thread_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cores(monkeypatch, 1)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _NoThreads)
+    res = run_scheme(scheme_cfg(shots=2 * _CHUNK, workers=2))
+    assert res.shots == 2 * _CHUNK
 
 
 def test_threaded_streams_match_serial(monkeypatch):
@@ -281,12 +297,12 @@ def test_threaded_streams_match_serial(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Spy)
     cfg = scheme_cfg(shots=3 * _CHUNK + 5, workers=3, prior_delta=1.0, q0=None,
                      p0=None, scaling="optimal")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cores(monkeypatch, 2)
     threaded = run_scheme(cfg, record_shots=True)
     kmin_threaded = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
                                     workers=3)
     assert pools == [2, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    set_cores(monkeypatch, 1)
     serial = run_scheme(cfg, record_shots=True)
     kmin_serial = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
                                   workers=3)
