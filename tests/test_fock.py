@@ -138,7 +138,8 @@ def test_adjacent_pass_matches_dense_route(kind, mode):
 
 
 @pytest.mark.parametrize("args,dim", [(("tmst_asym", 0.4, 0.6, 0.25), 18),
-                                      (("single", 0.4, 0.6), 20)])
+                                      (("single", 0.4, 0.6), 20)],
+                         ids=["tmst_asym", "single"])
 def test_leakage_rejects_too_small_dim(args, dim):
     probe = build_probe_fock(*args, dim=dim, tail_tol=np.inf)
     assert fock._fisher_pass(probe)[2] > 1e-8
