@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (GaussianState, make_squeezed_thermal, make_tmst,
-                       symplectic_form, vacuum)
+from .gaussian import (GaussianState, check_probe, make_squeezed_thermal,
+                       make_tmst, symplectic_form, vacuum)
 
 _PURE_TOL = 1e-9
 _KINDS = ("coherent", "single", "tmst", "tmst_asym")
@@ -67,7 +67,7 @@ class BoundQuery:
             raise ValueError(f"unknown probe kind '{self.kind}'")
         if self.kind == "tmst_asym" and self.N2 is None:
             raise ValueError("tmst_asym needs N2")
-        _check_probe(self.r, self.N, self.N2)
+        check_probe(self.r, self.N, self.N2)
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("prior width must be positive and finite")
         if self.shots < 1:
@@ -99,13 +99,6 @@ class BoundReport:
     scheme_variance: float | None = None
     gap: float | None = None
     query: BoundQuery | None = None
-
-
-def _check_probe(r, N, N2=None):
-    """Squeezing and thermal photon numbers must be finite and nonnegative."""
-    for value in (r, N, 0.0 if N2 is None else N2):
-        if not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
-            raise ValueError("r and N must be finite and nonnegative")
 
 
 def _hermitian_pinv(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -154,7 +147,7 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown probe kind '{kind}'")
-    _check_probe(r, N, N2)
+    check_probe(r, N, N2)
     r, n1 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(N, dtype=float))
     if kind == "coherent":
         r, n1 = np.zeros_like(r), np.zeros_like(n1)
@@ -173,7 +166,7 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     product = (q == 0) & (p1 > 0)
     a, b = np.where(product, nu1, a), np.where(product, 1.0, b)
     q = np.where(product, 1.0, np.where(q > 0, q, np.inf))
-    return _mat(h, zero, zero, h), _mat(a / q, 0.5j * b / q, -0.5j * b / q, a / q)
+    return _mat(h, zero, zero, h), _mat(a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
 
 
 def _mat(m00, m01, m10, m11) -> np.ndarray:
@@ -245,8 +238,7 @@ def thresholds(N: float) -> tuple[float, float]:
     RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 is where the double-homodyne
     scheme starts to beat the standard quantum limit.
     """
-    if N < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    check_probe(N=N)
     r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
     r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
     return float(r_ths), float(r_sql)
@@ -256,7 +248,7 @@ def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None
     """Variance sum 2(N + N2 + 1)e^{-2r} of the double-homodyne scheme, which
     is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
     and N2.  Gaussian displacement jitter (dq^2, dp^2) adds its variances."""
-    _check_probe(r, N, N2)
+    check_probe(r, N, N2)
     extra = sum(jitter) if jitter is not None else 0.0
     n = 2.0 * N if N2 is None else N + N2
     return 2.0 * (n + 1.0) * np.exp(-2.0 * np.asarray(r, dtype=float)) + extra
@@ -267,7 +259,7 @@ def gap_D(r, N):
     flat-prior most-informative bound; equals e^{-4r} on the N = 0 line.
     Broadcasts over r and N.  Uses the paper's closed forms as written, since
     at large r the gap is a difference of nearly equal terms."""
-    _check_probe(r, N)
+    check_probe(r, N)
     r, N = np.asarray(r, dtype=float), np.asarray(N, dtype=float)
     c = np.cosh(2.0 * r)
     b_s = (2.0 * N + 1.0) / c

@@ -20,8 +20,10 @@ displaced mode over those pairs only, with weights from log probabilities.
 The rule fails near the truncation edge, so the pass also reports the
 leakage max_s p_s (sum_t T_st^2 - adjacent part), where the full sum is
 ||G u_s||^2 by orthogonality; fock_fisher_converged rejects a probe whose
-leakage exceeds its tolerance.  Dense probes, such as displaced ones
-(displace_fock), take the full T with rho^-1 above an inverse floor.
+leakage exceeds its tolerance.  Every other probe, such as a displaced one
+(displace_fock), takes one dense route: one eigendecomposition of rho, the
+full T of both generators in its eigenbasis, and the SLD and RLD sums over
+all eigenpairs, the RLD with rho^-1 on the eigenvalues above an inverse floor.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from math import ceil
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
+from .gaussian import check_probe
+
 _SQRT2 = np.sqrt(2.0)
 
 DEFAULT_TAIL_TOL = 1e-10
-DEFAULT_SLD_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
+_SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
 DEFAULT_INV_FLOOR = 1e-10  # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
 
@@ -67,8 +71,6 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def thermal_log_probs(N: float, dim: int) -> np.ndarray:
     """Log occupation probabilities log(N^n / (N+1)^(n+1)) of a thermal state."""
-    if N < 0:
-        raise ValueError("mean photon number must be nonnegative")
     n = np.arange(dim)
     if N == 0:
         return np.where(n == 0, 0.0, -np.inf)
@@ -152,10 +154,6 @@ class FockOperatorSet:
     blocks: list | None = field(default=None, repr=False)
     log_probs: list | None = field(default=None, repr=False)
 
-    @property
-    def hilbert_dim(self) -> int:
-        return self.dim ** self.modes
-
     q = property(lambda self: quadratures(self.dim)[0], doc="q on one mode")
     p = property(lambda self: quadratures(self.dim)[1], doc="p on one mode")
 
@@ -170,26 +168,21 @@ class FockOperatorSet:
         """Dense probe density matrix (assembled on demand for built probes)."""
         if self.rho_dense is not None:
             return self.rho_dense
-        rho = np.zeros((self.hilbert_dim, self.hilbert_dim))
+        rho = np.zeros((self.dim ** self.modes,) * 2)
         for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
             rho[np.ix_(idx, idx)] = (U * np.exp(lp)) @ U.T
         return rho
 
-    def eigenvalues(self) -> np.ndarray:
-        if self.log_probs is not None:
-            return np.exp(np.concatenate(self.log_probs))
-        return np.clip(np.linalg.eigvalsh(self.rho_dense), 0.0, None)
-
     def purity(self) -> float:
         if self.log_probs is None:
             return float(np.sum(np.abs(self.rho_dense) ** 2).real)
-        return float(np.sum(self.eigenvalues() ** 2))
+        return float(np.sum(np.exp(np.concatenate(self.log_probs)) ** 2))
 
     def number_diagonal(self) -> np.ndarray:
         """Diagonal of rho0 in the bare Fock basis."""
         if self.rho_dense is not None:
             return np.real(np.diag(self.rho_dense)).copy()
-        diag = np.zeros(self.hilbert_dim)
+        diag = np.zeros(self.dim ** self.modes)
         for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
             diag[idx] = (U ** 2) @ np.exp(lp)
         return diag
@@ -203,20 +196,15 @@ class FockOperatorSet:
         grid = diag.reshape(self.dim, self.dim)
         return float(max(np.sum(grid) - np.sum(grid[:cut, :cut]), 0.0))
 
-    def q_mode(self, mode: int) -> np.ndarray:
-        """Dense q operator of one mode on the full Hilbert space."""
-        return self._embed(self.q, mode)
 
-    def p_mode(self, mode: int) -> np.ndarray:
-        return self._embed(self.p, mode)
-
-    def _embed(self, op: np.ndarray, mode: int) -> np.ndarray:
-        if not 0 <= mode < self.modes:
-            raise ValueError("mode index out of range")
-        if self.modes == 1:
-            return op
-        eye = np.eye(self.dim)
-        return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+def _on_modes(probe: FockOperatorSet, ops: dict) -> np.ndarray:
+    """Dense operator on the probe's Hilbert space that acts as ops[mode] on
+    each mode listed and as the identity on the others."""
+    if not all(0 <= mode < probe.modes for mode in ops):
+        raise ValueError("mode index out of range")
+    eye = np.eye(probe.dim)
+    op = ops.get(0, eye)
+    return op if probe.modes == 1 else np.kron(op, ops.get(1, eye))
 
 
 def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
@@ -236,7 +224,6 @@ def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
 def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
                      N2: float | None = None, dim: int | None = None,
                      tail_tol: float = DEFAULT_TAIL_TOL,
-                     auto_escalate: bool = True,
                      max_dim: int | None = None) -> FockOperatorSet:
     """Build a probe density matrix by exponentiated squeezing of thermal states.
 
@@ -251,15 +238,15 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         above max_dim).
     tail_tol : float
         Maximum probability allowed in the top 10% of Fock levels, measured
-        on the built probe; the truncation escalates until this holds, or
-        TruncationError is raised.  With tail_tol = inf nothing is measured.
+        on the built probe; the truncation escalates until this holds, and
+        stops with TruncationError at max_dim (default 600 for one mode, 420
+        for two).  With tail_tol = inf nothing is measured.
     """
     if kind not in ("single", "tmst", "tmst_asym"):
         raise ValueError(f"unknown probe kind '{kind}'")
     if kind == "tmst_asym" and N2 is None:
         raise ValueError("tmst_asym needs N2")
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    check_probe(r, N, N2)
     if max_dim is None:
         max_dim = 600 if kind == "single" else 420
     if dim is None:
@@ -281,7 +268,7 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         tail = probe.tail_mass()
         if tail < tail_tol:
             return probe
-        if not auto_escalate or dim >= max_dim:
+        if dim >= max_dim:
             raise TruncationError(
                 f"truncation dim={dim} leaves tail mass {tail:.3e} "
                 f"(tolerance {tail_tol:.1e})", tail_mass=tail)
@@ -303,7 +290,8 @@ def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
-    D = expm(1j * p0 * probe.q_mode(mode) - 1j * q0 * probe.p_mode(mode))
+    q, p = quadratures(probe.dim)
+    D = expm(1j * p0 * _on_modes(probe, {mode: q}) - 1j * q0 * _on_modes(probe, {mode: p}))
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
                            modes=probe.modes, rho_dense=D @ probe.rho0 @ D.conj().T)
 
@@ -378,34 +366,42 @@ def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
     return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
 
 
-def _dense_generators(probe: FockOperatorSet, mode: int):
-    """Probe eigenvalues and G_q0 = p, G_p0 = -q in the probe eigenbasis."""
+def _fisher(probe: FockOperatorSet, mode: int, rld: bool,
+            inv_floor: float = DEFAULT_INV_FLOOR):
+    """H and J (None unless rld): _fisher_pass for built probes, otherwise the
+    dense sums over all eigenpairs of rho, with G_q0 = p and G_p0 = -q."""
+    if probe.blocks is not None:
+        return _fisher_pass(probe, mode, rld)[:2]
+    if rld and probe.purity() > 1.0 - _PURITY_TOL:
+        raise PureStateError("RLD undefined for pure states")
     eigs, basis = np.linalg.eigh(probe.rho0)
-    return (np.clip(eigs, 0.0, None), basis.conj().T @ probe.p_mode(mode) @ basis,
-            -(basis.conj().T @ probe.q_mode(mode) @ basis))
+    eigs = np.clip(eigs, 0.0, None)
+    q, p = quadratures(probe.dim)
+    gens = [basis.conj().T @ _on_modes(probe, {mode: g}) @ basis for g in (p, -q)]
+    ps, pt = eigs[:, None], eigs[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(ps + pt > _SLD_PAIR_TOL, ps * ((ps - pt) / (ps + pt)) ** 2, 0.0)
+        R = np.where(ps > inv_floor, (ps - pt) ** 2 / ps, 0.0)
+    np.fill_diagonal(w, 0.0)
+    H = np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in gens]
+                  for x in gens])
+    if not rld:
+        return H, None
+    if np.count_nonzero(eigs > inv_floor) < 2:
+        raise PureStateError("RLD undefined for pure states")
+    J = np.array([[np.sum(R * (x * y.T)) for y in gens] for x in gens])
+    return H, 0.5 * (J + J.conj().T)
 
 
-def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
-                    pair_tol: float = DEFAULT_SLD_TOL) -> np.ndarray:
+def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
     """SLD Fisher matrix H for the displacement pair (q0, p0).
 
     Spectral sum over eigenpairs of the probe with weights
     p_s ((p_s - p_t)/(p_s + p_t))^2.  Built probes sum the thermal-adjacent
     pairs only (module docstring); the dense route skips pairs with
-    p_s + p_t below pair_tol (support-orthogonal sectors carry no
-    information).
+    p_s + p_t below 1e-12 (support-orthogonal sectors carry no information).
     """
-    if probe.blocks is not None:
-        return _fisher_pass(probe, displaced_mode, rld=False)[0]
-
-    eigs, gq, gp = _dense_generators(probe, displaced_mode)
-    ps, pt = eigs[:, None], eigs[None, :]
-    denom = ps + pt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(denom > pair_tol, ps * ((ps - pt) / denom) ** 2, 0.0)
-    np.fill_diagonal(w, 0.0)
-    return np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in (gq, gp)]
-                     for x in (gq, gp)])
+    return _fisher(probe, displaced_mode, rld=False)[0]
 
 
 def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
@@ -417,19 +413,7 @@ def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
     PureStateError when the probe has no inverse (pure or rank-deficient
     probes), in which case callers fall back to closed-form limits.
     """
-    if probe.blocks is not None:
-        return _fisher_pass(probe, displaced_mode)[1]
-    if probe.purity() > 1.0 - _PURITY_TOL:
-        raise PureStateError("RLD undefined for pure states")
-
-    eigs, gq, gp = _dense_generators(probe, displaced_mode)
-    if np.count_nonzero(eigs > inv_floor) < 2:
-        raise PureStateError("RLD undefined for pure states")
-    pn, pm = eigs[:, None], eigs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = np.where(pn > inv_floor, (pn - pm) ** 2 / pn, 0.0)
-    J = np.array([[np.sum(R * (x * y.T)) for y in (gq, gp)] for x in (gq, gp)])
-    return 0.5 * (J + J.conj().T)
+    return _fisher(probe, displaced_mode, rld=True, inv_floor=inv_floor)[1]
 
 
 def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
@@ -441,15 +425,13 @@ def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
     rho = probe.rho0
     q, p = quadratures(probe.dim)
     table = {"q": q, "p": p, "a": (q + 1j * p) / _SQRT2, "adag": (q - 1j * p) / _SQRT2}
+    eye = np.eye(probe.dim, dtype=complex)
     out = []
     for monomial in monomials:
-        per_mode = [np.eye(probe.dim, dtype=complex) for _ in range(probe.modes)]
+        per_mode = dict.fromkeys(range(probe.modes), eye)
         for name, mode in monomial:
-            if not 0 <= mode < probe.modes:
-                raise ValueError("mode index out of range")
-            per_mode[mode] = per_mode[mode] @ table[name]
-        op = per_mode[0] if probe.modes == 1 else np.kron(per_mode[0], per_mode[1])
-        out.append(complex(np.sum(rho * op.T)))  # tr(rho op)
+            per_mode[mode] = per_mode.get(mode, eye) @ table[name]
+        out.append(complex(np.sum(rho * _on_modes(probe, per_mode).T)))  # tr(rho op)
     return out
 
 
@@ -458,9 +440,8 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
 
 
 def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
-                          dim: int | None = None, step: int = 5,
-                          tol: float = 1e-8, **build_kwargs):
-    """Compute (H, J) at dim and dim + step and insist they agree within tol.
+                          dim: int | None = None, tol: float = 1e-8, **build_kwargs):
+    """Compute (H, J) at dim and dim + 5 and insist they agree within tol.
 
     The probe's selection-rule leakage (module docstring) must also stay
     within tol.
@@ -470,9 +451,8 @@ def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None
     if leakage > tol:
         raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",
                               tail_mass=probe.tail_mass())
-    bigger = build_probe_fock(kind, r, N, N2, dim=probe.dim + step,
-                              **{**build_kwargs, "auto_escalate": False,
-                                 "tail_tol": np.inf})
+    bigger = build_probe_fock(kind, r, N, N2, dim=probe.dim + 5,
+                              **{**build_kwargs, "tail_tol": np.inf})
     H2, J2, _ = _fisher_pass(bigger)
     drift = max(np.max(np.abs(H1 - H2)), np.max(np.abs(J1 - J2)))
     if drift > tol:

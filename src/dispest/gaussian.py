@@ -125,12 +125,23 @@ def _mode_slice(state: GaussianState, mode: int) -> slice:
     return slice(2 * mode, 2 * mode + 2)
 
 
-def _embed(block: np.ndarray, modes: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Place a symplectic block acting on `targets` into an identity on all modes."""
-    S = np.eye(2 * modes)
-    idx = np.concatenate([[2 * t, 2 * t + 1] for t in targets])
+def _apply_block(state: GaussianState, block: np.ndarray,
+                 targets: tuple[int, ...]) -> GaussianState:
+    """Apply a symplectic block to the distinct modes `targets`, identity elsewhere."""
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"target modes {targets} must be distinct")
+    idx = np.r_[tuple(_mode_slice(state, t) for t in targets)]
+    S = np.eye(2 * state.modes)
     S[np.ix_(idx, idx)] = block
-    return S
+    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+
+
+def check_probe(r=None, N=None, N2=None):
+    """Squeezing r and thermal photon numbers N, N2 (None: not given) must be
+    finite and nonnegative, elementwise for arrays."""
+    for value in (r, N, N2):
+        if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
+            raise ValueError("r and N must be finite and nonnegative")
 
 
 def vacuum(modes: int = 1) -> GaussianState:
@@ -139,18 +150,14 @@ def vacuum(modes: int = 1) -> GaussianState:
 
 def make_thermal(N: float, modes: int = 1) -> GaussianState:
     """Thermal state with mean photon number N per mode: cov = (2N+1)/2 I."""
-    if N < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    check_probe(N=N)
     dim = 2 * modes
     return GaussianState(np.zeros(dim), (2.0 * N + 1.0) / 2.0 * np.eye(dim))
 
 
 def squeeze_single(state: GaussianState, mode: int, r: float) -> GaussianState:
     """Single-mode squeezer; r > 0 reduces Var(p) by e^{-2r} and grows Var(q)."""
-    _mode_slice(state, mode)
-    block = np.diag([np.exp(r), np.exp(-r)])
-    S = _embed(block, state.modes, (mode,))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _apply_block(state, np.diag([np.exp(r), np.exp(-r)]), (mode,))
 
 
 def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
@@ -160,16 +167,10 @@ def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> Gauss
     -C Z off-diagonal (Z = diag(1, -1)), with A = (2N+1)cosh(2r)/2 and
     C = (2N+1)sinh(2r)/2, i.e. q1 - q2 and p1 + p2 are the squeezed pairs.
     """
-    i, j = modes
-    if i == j:
-        raise ValueError("two-mode squeezing needs two distinct modes")
-    _mode_slice(state, i)
-    _mode_slice(state, j)
     Z = np.diag([1.0, -1.0])
     ch, sh = np.cosh(r), np.sinh(r)
     block = np.block([[ch * np.eye(2), -sh * Z], [-sh * Z, ch * np.eye(2)]])
-    S = _embed(block, state.modes, (i, j))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _apply_block(state, block, modes)
 
 
 def make_squeezed_thermal(r: float, N: float) -> GaussianState:
@@ -181,10 +182,9 @@ def tmst_cov(r, N, N2=None) -> np.ndarray:
     """Covariance (..., 4, 4) of the two-mode squeezed thermal state, blocks
     d_i I on the diagonal and -x Z off it (see squeeze_two); broadcasts over
     r, N and N2 (default N)."""
+    check_probe(r, N, N2)
     nu1 = np.asarray(N, dtype=float) + 0.5
     nu2 = nu1 if N2 is None else np.asarray(N2, dtype=float) + 0.5
-    if np.any(nu1 < 0.5) or np.any(nu2 < 0.5):
-        raise ValueError("mean photon numbers must be nonnegative")
     ch, sh = np.cosh(r), np.sinh(r)
     d1 = ch * ch * nu1 + sh * sh * nu2
     d2 = sh * sh * nu1 + ch * ch * nu2
@@ -210,10 +210,8 @@ def displace(state: GaussianState, mode: int, q0: float, p0: float) -> GaussianS
 
 def phase_rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
     """Phase-space rotation of one mode by angle theta."""
-    _mode_slice(state, mode)
     c, s = np.cos(theta), np.sin(theta)
-    S = _embed(np.array([[c, s], [-s, c]]), state.modes, (mode,))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _apply_block(state, np.array([[c, s], [-s, c]]), (mode,))
 
 
 def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) -> GaussianState:
@@ -225,15 +223,8 @@ def beamsplit_balanced(state: GaussianState, modes: tuple[int, int] = (0, 1)) ->
     p-squeezed output at mode i and a q-squeezed output at mode j, both
     displaced by the input-mode-i displacement rescaled by 1/sqrt(2).
     """
-    i, j = modes
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    _mode_slice(state, i)
-    _mode_slice(state, j)
     I2 = np.eye(2)
-    block = np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0)
-    S = _embed(block, state.modes, (i, j))
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    return _apply_block(state, np.block([[I2, -I2], [I2, I2]]) / np.sqrt(2.0), modes)
 
 
 def homodyne_marginal(state: GaussianState, mode: int, quadrature: str) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import scaling_factors, scheme_variance_sum
+from .gaussian import check_probe
 
 _CHUNK = 1 << 16
 _SQRT2 = np.sqrt(2.0)
@@ -48,12 +49,11 @@ class EstimationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        values = (self.r, self.N, self.N2, self.q0, self.p0, self.prior_delta,
-                  self.K) + (tuple(self.jitter) if self.jitter is not None else ())
+        check_probe(self.r, self.N, self.N2)
+        values = (self.q0, self.p0, self.prior_delta, self.K) + (
+            tuple(self.jitter) if self.jitter is not None else ())
         if not all(np.isfinite(v) for v in values if v is not None):
             raise ValueError("numeric settings must be finite")
-        if any(v is not None and v < 0 for v in (self.r, self.N, self.N2)):
-            raise ValueError("r and N must be nonnegative")
         if self.shots < 100:
             raise ValueError("shots must be at least 100")
         if self.workers < 1:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, beamsplit_balanced, make_tmst, phase_rotate
+from .gaussian import (GaussianState, beamsplit_balanced, check_probe, make_tmst,
+                       phase_rotate)
 from .bounds import thresholds
 
 _STRICT_TOL = 1e-12
@@ -146,8 +147,7 @@ def asym_n2_threshold(r: float, n1: float = 0.0) -> float:
     The scheme variance sum 2(n1 + N2 + 1)e^{-2r} crosses 2 at
     N2 = e^{2r} - 1 - n1; zero when the probe never beats the SQL.
     """
-    if not (np.isfinite(r) and np.isfinite(n1)) or r < 0 or n1 < 0:
-        raise ValueError("r and n1 must be finite and nonnegative")
+    check_probe(r, n1)
     return float(max(np.expm1(2.0 * r) - n1, 0.0))
 
 

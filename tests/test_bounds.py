@@ -252,6 +252,15 @@ def test_query_validation():
             BoundQuery(kind="tmst", weight=np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+@pytest.mark.parametrize("r", [1e-160, 6.86e-159])
+def test_pure_tmst_at_subnormal_sinh_squared(r):
+    """sinh(r)^2 and so q are subnormal here, where 1/q overflows: J^-1 must
+    divide b by q in real arithmetic, not through a complex division."""
+    rep = bound_most_informative(BoundQuery(kind="tmst", r=r, N=0.0))
+    assert rep.b_rld == 0.0
+    assert rep.b_mi == rep.b_sld and rep.branch == "SLD"
+
+
 @pytest.mark.parametrize("r", [8.0, 12.0, 15.0])
 @pytest.mark.parametrize("N", [0.3, 1.0, 2.5])
 def test_large_squeezing_matches_closed_forms(r, N):

@@ -184,13 +184,14 @@ def test_oracle_reaches_single_at_r_2():
 def test_fisher_independent_of_displacement():
     probe = build_probe_fock("single", 0.3, 0.5, dim=70)
     moved = displace_fock(probe, 0, 0.7, -0.3)
-    assert np.allclose(sld_fisher_fock(moved), sld_fisher_fock(probe), atol=1e-10)
-    assert np.allclose(rld_fisher_fock(moved), rld_fisher_fock(probe), atol=1e-10)
+    assert np.allclose(sld_fisher_fock(moved), sld_fisher_fock(probe), rtol=0, atol=1e-10)
+    assert np.allclose(rld_fisher_fock(moved, inv_floor=1e-12), rld_fisher_fock(probe),
+                       rtol=0, atol=1e-9)
 
 
 def test_truncation_error_reports_tail():
     with pytest.raises(TruncationError) as err:
-        build_probe_fock("single", 1.0, 2.0, dim=10, auto_escalate=False)
+        build_probe_fock("single", 1.0, 2.0, dim=10, max_dim=10)
     assert err.value.tail_mass > 1e-10
 
 
@@ -307,6 +308,22 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
     assert 0.0 < err.value.tail_mass
     with pytest.raises(TruncationError):
         build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
+
+
+@pytest.mark.parametrize("args", [("single", np.nan, 0.5), ("single", 0.5, np.nan),
+                                  ("tmst", np.inf, 0.5), ("tmst", 0.5, -0.1),
+                                  ("tmst_asym", 0.5, 0.5, np.nan)])
+def test_bad_probe_parameters_raise_before_building(monkeypatch, args):
+    def no_build(*_):
+        raise AssertionError("a probe was built")
+
+    monkeypatch.setattr(fock, "_build_at_dim", no_build)
+    with pytest.raises(ValueError):
+        build_probe_fock(*args)
+    with pytest.raises(ValueError):
+        build_probe_fock(*args, dim=10)
+    with pytest.raises(ValueError):
+        fock_fisher_converged(*args)
 
 
 def test_oracle_reaches_tmst_at_r_1_5():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from dispest import (GaussianState, SymplecticTransform, beamsplit_balanced,
-                     displace, heterodyne_outcome_cov, homodyne_marginal,
+from dispest import (BoundQuery, EstimationConfig, GaussianState,
+                     SymplecticTransform, asym_n2_threshold, beamsplit_balanced,
+                     displace, gap_D, heterodyne_outcome_cov, homodyne_marginal,
                      make_squeezed_thermal, make_thermal, make_tmst,
-                     phase_rotate, squeeze_single, squeeze_two,
-                     symplectic_form, vacuum)
+                     phase_rotate, probe_fisher, scheme_variance_sum,
+                     squeeze_single, squeeze_two, symplectic_form, thresholds,
+                     vacuum)
+from dispest.gaussian import tmst_cov
 
 
 def test_vacuum_covariance():
@@ -24,6 +27,31 @@ def test_thermal_examples():
 def test_thermal_negative_N_rejected():
     with pytest.raises(ValueError):
         make_thermal(-0.1, 1)
+
+
+# every public entry point that takes r, N or N2 runs the one probe check
+PROBE_BOUNDARIES = {
+    "make_thermal": lambda x: make_thermal(x, 2),
+    "make_tmst_r": lambda x: make_tmst(x, 0.5),
+    "tmst_cov_N": lambda x: tmst_cov(0.5, x),
+    "tmst_cov_N2": lambda x: tmst_cov(0.5, 0.5, x),
+    "tmst_cov_grid": lambda x: tmst_cov(np.array([0.5, x]), 0.5),
+    "thresholds": lambda x: thresholds(x),
+    "scheme_variance_sum": lambda x: scheme_variance_sum(0.5, x),
+    "gap_D": lambda x: gap_D(x, 0.5),
+    "probe_fisher": lambda x: probe_fisher("tmst_asym", 0.5, 0.5, x),
+    "BoundQuery": lambda x: BoundQuery(kind="single", r=x),
+    "EstimationConfig": lambda x: EstimationConfig(shots=100, seed=0, r=0.5, N=x,
+                                                   q0=0.0, p0=0.0),
+    "asym_n2_threshold": lambda x: asym_n2_threshold(0.5, x),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("call", PROBE_BOUNDARIES.values(), ids=list(PROBE_BOUNDARIES))
+def test_probe_parameters_checked_at_every_entry_point(call, bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        call(bad)
 
 
 def test_state_validation():
