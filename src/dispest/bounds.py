@@ -139,11 +139,13 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     mode's columns of S^-1: H = V^T diag(1/nu) V and J = V^T L V, where
     L_i = (nu_i I - (i/2) Omega)/p_i and p_i = nu_i^2 - 1/4 = N_i (N_i + 1).
     Two-mode J^-1 = (a I + (b/2) i Omega)/q is the 2x2 inverse multiplied
-    through by p_1 p_2, finite for pure inputs; a and q are sums of
-    nonnegative terms, so nothing cancels at large r.  q = 0 only at r = 0
-    with N2 = 0: there the probe is thermal(N1) x vacuum, whose J^-1 is
-    nu_1 I + (i/2) Omega (not the r -> 0+ limit: J^-1 jumps where a mode
-    turns pure), or the pure-probe value zero when N1 = 0 too.
+    through by p_1 p_2, finite for pure inputs, and divided through by
+    cosh^4 r, so a, b and q are written in tanh^2 r and sech^2 r and do not
+    overflow at large r; a and q are sums of nonnegative terms, so nothing
+    cancels.  q = 0 only at r = 0 with N2 = 0: there the probe is
+    thermal(N1) x vacuum, whose J^-1 is nu_1 I + (i/2) Omega (not the
+    r -> 0+ limit: J^-1 jumps where a mode turns pure), or the pure-probe
+    value zero when N1 = 0 too.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown probe kind '{kind}'")
@@ -157,12 +159,12 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
         e = np.exp(2.0 * r)
         return (_mat(1.0 / (nu1 * e), zero, zero, e / nu1),
                 _mat(nu1 * e, 0.5j + zero, -0.5j + zero, nu1 / e))
-    c2, s2 = np.cosh(r) ** 2, np.sinh(r) ** 2
+    h = np.cosh(r) ** 2 / nu1 + np.sinh(r) ** 2 / nu2
+    sech2, t = (1.0 / np.cosh(r)) ** 2, np.tanh(r) ** 2
     p1, p2 = n1 * (n1 + 1.0), n2 * (n2 + 1.0)
-    h = c2 / nu1 + s2 / nu2
-    a = c2 * nu1 * p2 + s2 * nu2 * p1
-    b = p2 + s2 * (p2 - p1)
-    q = c2 * c2 * p2 + s2 * s2 * p1 + 2.0 * c2 * s2 * (nu1 * nu2 + 0.25)
+    a = sech2 * (nu1 * p2 + t * nu2 * p1)
+    b = sech2 * (sech2 * p2 + t * (p2 - p1))
+    q = p2 + t * t * p1 + 2.0 * t * (nu1 * nu2 + 0.25)
     product = (q == 0) & (p1 > 0)
     a, b = np.where(product, nu1, a), np.where(product, 1.0, b)
     q = np.where(product, 1.0, np.where(q > 0, q, np.inf))
@@ -314,17 +316,24 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
     For the symmetric two-mode probe the report also carries the branch
     thresholds, the scheme variance sum, and (flat prior) the optimality gap.
     For pure two-mode probes B_R is the zero N -> 0+ limit, so B_MI follows
-    the SLD branch there.
+    the SLD branch there.  Raises ValueError where a Fisher matrix or a
+    reported value is outside the floating-point range (H overflows above
+    r ~ 355).
     """
-    H, j_inv = probe_fisher(query.kind, query.r, query.N, query.N2)
-    b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, query.delta, query.weight,
-                                             query.shots)
-    r_ths = r_sql = scheme_variance = gap = None
-    if query.kind == "tmst":
-        r_ths, r_sql = thresholds(query.N)
-        scheme_variance = scheme_variance_sum(query.r, query.N)
-        if query.delta is None and query.weight is None and query.shots == 1:
-            gap = gap_D(query.r, query.N)
+    with np.errstate(all="ignore"):  # values out of range raise below
+        H, j_inv = probe_fisher(query.kind, query.r, query.N, query.N2)
+        b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, query.delta, query.weight,
+                                                 query.shots)
+        r_ths = r_sql = scheme_variance = gap = None
+        if query.kind == "tmst":
+            r_ths, r_sql = thresholds(query.N)
+            scheme_variance = scheme_variance_sum(query.r, query.N)
+            if query.delta is None and query.weight is None and query.shots == 1:
+                gap = gap_D(query.r, query.N)
+    reported = [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None]
+    if not (np.isfinite(H).all() and np.isfinite(j_inv).all()
+            and np.isfinite(reported).all()):
+        raise ValueError(f"bounds at r={query.r:g} are outside the floating-point range")
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
                        branch=str(branch), r_ths=r_ths, r_sql=r_sql,
                        scheme_variance=scheme_variance, gap=gap, query=query)

@@ -11,16 +11,22 @@ Two-mode squeezing conserves the photon-number difference n - m, so the
 squeezer, the probe eigenbasis and the generator couplings all decompose over
 difference sectors; single-mode squeezing keeps photon-number parity.  Each
 such block of a squeezer is the exponential of a real antisymmetric
-tridiagonal matrix.  The generators are linear in a and a†, and so are their
-squeezed images, so T couples only thermal levels one step apart: n to n ± 1,
-and (n, m) to (n + 1, m) and (n, m - 1) between sectors d and d + 1.  On
-those pairs p_t/p_s is N/(N + 1) or its inverse, so no weight amplifies
-roundoff and no inverse floor is needed.  Built probes take one pass per
-displaced mode over those pairs only, with weights from log probabilities.
-The rule fails near the truncation edge, so the pass also reports the
-leakage max_s p_s (sum_t T_st^2 - adjacent part), where the full sum is
-||G u_s||^2 by orthogonality; fock_fisher_converged rejects a probe whose
-leakage exceeds its tolerance.  Every other probe, such as a displaced one
+tridiagonal matrix, which maps even indices to odd ones, so it follows from a
+half-size tridiagonal eigenproblem (_expm_tridiagonal).  The generators are
+linear in a and a†, and so are their squeezed images, so T couples only
+thermal levels one step apart: n to n ± 1, and (n, m) to (n + 1, m) and
+(n, m - 1) between sectors d and d + 1.  On those pairs p_t/p_s is N/(N + 1)
+or its inverse, so no weight amplifies roundoff and no inverse floor is
+needed.  Built probes take one pass per displaced mode over those pairs only,
+with weights from log probabilities.  The rule fails near the truncation
+edge, so the pass also reports the leakage max_s p_s (sum_t T_st^2 - adjacent
+part), where the full sum is ||G u_s||^2 by orthogonality; G^2 is diagonal
+within a sector, so ||G u_s||^2 = sum_i U_is^2 (n_i + (n_i + 1)[n_i < dim -
+1])/2, n_i the displaced mode's level of row i.  fock_fisher_converged
+rejects a probe whose leakage exceeds its tolerance.  Two-mode blocks of
+consecutive |d| are built and passed in zero-padded stacks of at most
+_STACK_BYTES, so that per-call overhead does not dominate; each block is
+copied out of its stack.  Every other probe, such as a displaced one
 (displace_fock), takes one dense route: one eigendecomposition of rho, the
 full T of both generators in its eigenbasis, and the SLD and RLD sums over
 all eigenpairs, the RLD with rho^-1 on the eigenvalues above an inverse floor.
@@ -32,7 +38,8 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
+from scipy.linalg.lapack import dstevd
 
 from .gaussian import check_probe
 
@@ -42,6 +49,7 @@ DEFAULT_TAIL_TOL = 1e-10
 _SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
 DEFAULT_INV_FLOOR = 1e-10  # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
+_STACK_BYTES = 1 << 17  # one zero-padded stack of blocks (_groups)
 
 
 class TruncationError(RuntimeError):
@@ -77,27 +85,66 @@ def thermal_log_probs(N: float, dim: int) -> np.ndarray:
     return n * np.log(N / (N + 1.0)) - np.log(N + 1.0)
 
 
-def _expm_tridiagonal(c: np.ndarray) -> np.ndarray:
-    """exp(G) for G[k, k+1] = c[k] = -G[k+1, k]; real orthogonal.
+def _groups(sizes: list):
+    """Slices of consecutive entries of the non-increasing sizes whose
+    zero-padded stack, (count, size, size) floats at the first entry's size,
+    fits in _STACK_BYTES (at least one entry each)."""
+    start = 0
+    while start < len(sizes):
+        stop = start + max(1, _STACK_BYTES // (8 * sizes[start] ** 2))
+        yield slice(start, min(stop, len(sizes)))
+        start = stop
 
-    With D = diag(i^k), D^-1 G D = iS, S real symmetric tridiagonal with zero
-    diagonal, so exp(G) = D V e^{iL} V^T D^-1 for S = V L V^T.  cos(S) keeps
-    the parity of k and sin(S) flips it, so with W = diag((-1)^floor(k/2)) V
-    this is the real (W cos L + diag((-1)^k) W sin L) W^T.
+
+def _expm_tridiagonal(cs: list) -> list:
+    """exp(G) for each c in cs, of non-increasing size: G[k, k+1] = c[k] =
+    -G[k+1, k], so exp(G) is real orthogonal.
+
+    On even and odd indices G = [[0, B], [-B^T, 0]] with B bidiagonal, so for
+    T = B B^T = V L V^T (tridiagonal, ceil(n/2) rows), W = B^T V, w = sqrt(L)
+    and f(x) = (1 - cos x)/x^2 = sinc^2(x/2)/2,
+    exp(G) = [[V cos(w) V^T, V sinc(w) W^T], [-W sinc(w) V^T, I - W f(w) W^T]].
+    One dstevd call per block; the rest runs on zero-padded stacks of
+    consecutive blocks, from which each block is copied out.
     """
-    lam, V = eigh_tridiagonal(np.zeros(c.size + 1), c)
-    k = np.arange(c.size + 1)[:, None]
-    W = V * np.where(k % 4 < 2, 1.0, -1.0)
-    return (W * np.cos(lam) + np.where(k % 2 == 0, W, -W) * np.sin(lam)) @ W.T
+    out = []
+    for group in _groups([c.size + 1 for c in cs]):
+        half = (cs[group.start].size + 2) // 2          # ceil(n/2) of the first
+        cp = np.zeros((group.stop - group.start, 2 * half))
+        for i, c in enumerate(cs[group]):
+            cp[i, :c.size] = c
+        ce, co = cp[:, 0::2], cp[:, 1::2]                # B[i, i], -B[i + 1, i]
+        diag, off = ce ** 2, -ce * co                    # of T; off[:, -1] = 0
+        diag[:, 1:] += co[:, :-1] ** 2
+        V = np.tile(np.eye(half), (len(cp), 1, 1))
+        lam = np.zeros((len(cp), half))
+        for i, c in enumerate(cs[group]):
+            m = (c.size + 2) // 2
+            lam[i, :m], V[i, :m, :m], info = dstevd(diag[i, :m], off[i, :max(m - 1, 1)])
+            if info:
+                raise np.linalg.LinAlgError(f"dstevd failed (info={info})")
+        W = ce[:, :, None] * V
+        W[:, :-1] -= co[:, :-1, None] * V[:, 1:]
+        w = np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+        Vt, Wt = V.transpose(0, 2, 1), W.transpose(0, 2, 1)
+        EO = (V * np.sinc(w / np.pi)) @ Wt
+        U = np.empty((len(cp), 2 * half, 2 * half))
+        U[:, ::2, ::2] = (V * np.cos(w)) @ Vt
+        U[:, ::2, 1::2] = EO
+        U[:, 1::2, ::2] = -EO.transpose(0, 2, 1)
+        f = 0.5 * np.sinc(w / (2.0 * np.pi)) ** 2     # (1 - cos w)/w^2
+        U[:, 1::2, 1::2] = np.eye(half) - (W * f) @ Wt
+        out += [U[i, :c.size + 1, :c.size + 1].copy() for i, c in enumerate(cs[group])]
+    return out
 
 
 def _single_squeeze_unitary(r: float, dim: int) -> np.ndarray:
     """exp((r/2)(a†² - a²)) from its even and odd blocks; squeezes p for r > 0."""
     U = np.zeros((dim, dim))
-    for parity in (0, 1):
-        k = np.arange(parity, dim - 2, 2.0)
-        idx = np.arange(parity, dim, 2)
-        U[np.ix_(idx, idx)] = _expm_tridiagonal(-0.5 * r * np.sqrt((k + 1) * (k + 2)))
+    cs = [-0.5 * r * np.sqrt((k + 1) * (k + 2))
+          for k in (np.arange(parity, dim - 2, 2.0) for parity in (0, 1))]
+    for parity, block in enumerate(_expm_tridiagonal(cs)):
+        U[parity::2, parity::2] = block
     return U
 
 
@@ -115,25 +162,8 @@ def _sector_squeeze_blocks(r: float, dim: int) -> list:
     d and -d share one block.
     """
     ks = [np.arange(1.0, dim - s) for s in range(dim)]
-    blocks = [_expm_tridiagonal(r * np.sqrt(k * (k + s))) for s, k in enumerate(ks)]
+    blocks = _expm_tridiagonal([r * np.sqrt(k * (k + s)) for s, k in enumerate(ks)])
     return blocks[:0:-1] + blocks
-
-
-def _coupling(dim: int, d: int, mode: int) -> tuple[slice, slice, np.ndarray]:
-    """q_mode between sectors d and d+1: <d, rows_d[j]| q |d+1, rows_e[j]> = w[j].
-
-    All other elements are zero, and the block of (a - a†)/sqrt(2) = i p_mode
-    is this one times +1 for mode 0 and -1 for mode 1: one raising/lowering
-    path connects the sectors.
-    """
-    size = dim - max(abs(d), abs(d + 1))
-    k = np.arange(size)
-    if (mode == 0) == (d >= 0):
-        return slice(0, size), slice(0, size), np.sqrt((k + dim - size) / 2.0)
-    w = np.sqrt((k + 1.0) / 2.0)
-    if mode == 0:
-        return slice(0, size), slice(1, size + 1), w
-    return slice(1, size + 1), slice(0, size), w
 
 
 @dataclass(frozen=True)
@@ -142,8 +172,8 @@ class FockOperatorSet:
 
     Built probes carry eigenvector blocks (one per difference sector for two
     modes, one dense block for one mode) and the thermal log probabilities of
-    their columns; other probes, such as displaced ones, a dense density
-    matrix.
+    their columns by Fock label (a (dim, dim) grid over (n, m) for two
+    modes); other probes, such as displaced ones, a dense density matrix.
     """
 
     kind: str
@@ -152,16 +182,18 @@ class FockOperatorSet:
     modes: int
     rho_dense: np.ndarray | None = None
     blocks: list | None = field(default=None, repr=False)
-    log_probs: list | None = field(default=None, repr=False)
+    log_probs: np.ndarray | None = field(default=None, repr=False)
 
     q = property(lambda self: quadratures(self.dim)[0], doc="q on one mode")
     p = property(lambda self: quadratures(self.dim)[1], doc="p on one mode")
 
     def _block_states(self) -> list:
-        """Fock indices of the rows of each eigenvector block."""
+        """Fock indices of the rows of each eigenvector block, and the log
+        probabilities of its columns."""
         if self.modes == 1:
-            return [np.arange(self.dim)]
-        return [_sector_states(self.dim, d) for d in range(1 - self.dim, self.dim)]
+            return [(np.arange(self.dim), self.log_probs)]
+        return [(_sector_states(self.dim, d), np.diagonal(self.log_probs, -d))
+                for d in range(1 - self.dim, self.dim)]
 
     @property
     def rho0(self) -> np.ndarray:
@@ -169,21 +201,21 @@ class FockOperatorSet:
         if self.rho_dense is not None:
             return self.rho_dense
         rho = np.zeros((self.dim ** self.modes,) * 2)
-        for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
+        for (idx, lp), U in zip(self._block_states(), self.blocks):
             rho[np.ix_(idx, idx)] = (U * np.exp(lp)) @ U.T
         return rho
 
     def purity(self) -> float:
         if self.log_probs is None:
             return float(np.sum(np.abs(self.rho_dense) ** 2).real)
-        return float(np.sum(np.exp(np.concatenate(self.log_probs)) ** 2))
+        return float(np.sum(np.exp(self.log_probs) ** 2))
 
     def number_diagonal(self) -> np.ndarray:
         """Diagonal of rho0 in the bare Fock basis."""
         if self.rho_dense is not None:
             return np.real(np.diag(self.rho_dense)).copy()
         diag = np.zeros(self.dim ** self.modes)
-        for idx, U, lp in zip(self._block_states(), self.blocks, self.log_probs):
+        for (idx, lp), U in zip(self._block_states(), self.blocks):
             diag[idx] = (U ** 2) @ np.exp(lp)
         return diag
 
@@ -281,11 +313,10 @@ def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
     lp = thermal_log_probs(N, dim)
     if kind == "single":
         return FockOperatorSet(modes=1, blocks=[_single_squeeze_unitary(r, dim)],
-                               log_probs=[lp], **ops)
-    joint = np.add.outer(lp, thermal_log_probs(N if N2 is None else N2, dim)).ravel()
+                               log_probs=lp, **ops)
     return FockOperatorSet(modes=2, blocks=_sector_squeeze_blocks(r, dim),
-                           log_probs=[joint[_sector_states(dim, d)]
-                                      for d in range(1 - dim, dim)], **ops)
+                           log_probs=np.add.outer(lp, thermal_log_probs(
+                               N if N2 is None else N2, dim)), **ops)
 
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
@@ -300,7 +331,7 @@ def _single_mode_pairs(probe: FockOperatorSet, mode: int):
     """T of (a - a†)/sqrt(2) and q on the level pairs (s, s + 1), and each
     column's full sum minus its pairs.  Both operators are tridiagonal, so
     their products with U cost O(dim^2)."""
-    U, lp = probe.blocks[0], probe.log_probs[0]
+    U, lp = probe.blocks[0], probe.log_probs
     s = np.sqrt(np.arange(1.0, probe.dim) / 2.0)[:, None]
     zero = np.zeros((1, probe.dim))
     up, down = np.vstack((s * U[1:], zero)), np.vstack((zero, s * U[:-1]))
@@ -314,28 +345,52 @@ def _single_mode_pairs(probe: FockOperatorSet, mode: int):
 
 
 def _sector_pairs(probe: FockOperatorSet, mode: int):
-    """As _single_mode_pairs, for the pairs of adjacent sectors d, d + 1:
-    T's diagonals k = j and k = j + 1 (d < 0) or j - 1 (d >= 0), which pair
-    the first and the last m columns of both, m the smaller sector size."""
-    U, lp = probe.blocks, probe.log_probs
-    t, ls, lt = [], [], []
-    rest = [np.zeros(x.size) for x in lp]
-    for i, d in enumerate(range(1 - probe.dim, probe.dim - 1)):
-        rows_d, rows_e, c = _coupling(probe.dim, d, mode)
-        A, B = c[:, None] * U[i][rows_d], U[i + 1][rows_e]
-        m = min(A.shape[1], B.shape[1])
-        t0 = np.einsum("ij,ij->j", A[:, :m], B[:, :m])
-        t1 = np.einsum("ij,ij->j", A[:, -m:], B[:, -m:])
-        t += [t0, t1]
-        ls += [lp[i][:m], lp[i][-m:]]
-        lt += [lp[i + 1][:m], lp[i + 1][-m:]]
-        for j, GU in ((i, A), (i + 1, c[:, None] * B)):
-            rest[j] += np.einsum("ij,ij->j", GU, GU)
-            rest[j][:m] -= t0 ** 2
-            rest[j][-m:] -= t1 ** 2
-    t = np.concatenate(t)
-    return ((t if mode == 0 else -t), t, np.concatenate(ls), np.concatenate(lt),
-            np.concatenate(rest))
+    """As _single_mode_pairs, for the pairs of adjacent sectors d, d + 1, with
+    every value on the (n, m) grid of the columns' thermal labels: T couples
+    (n, m) with (n + 1, m) (grid tn) and (n, m + 1) with (n, m) (grid tm).
+
+    With u, v the blocks of sectors ±s and ±(s + 1), mode 0 takes these from
+    X0 = sum_i u[i] sqrt((i + s + 1)/2) v[i] and X1 = sum_i u[i + 1]
+    sqrt((i + 1)/2) v[i] on the column pairs (j, j) and (j + 1, j), and mode 1
+    has mode 0's grids transposed.  Column norms as in the module docstring.
+    """
+    dim = probe.dim
+    blocks = probe.blocks[dim - 1:] + [np.zeros((0, 0))]
+    level = np.arange(dim)
+    weight = np.append(level[:-1] + 0.5, (dim - 1) / 2.0)
+    x, norms = np.zeros((4, dim, dim)), np.zeros((2, dim, dim))   # at (s, j)
+    for group in _groups([dim - s for s in range(dim)]):
+        n0, s = dim - group.start, level[group, None]
+        stack = np.zeros((group.stop - group.start + 1, n0, n0))
+        for i, U in enumerate(blocks[group.start:group.stop + 1]):
+            stack[i, :len(U), :len(U)] = U
+        u, v, row = stack[:-1], stack[1:, :-1, :-1], level[:n0 - 1]
+        for k, (rows, w) in enumerate(((u[:, :-1], np.sqrt((row + s + 1) / 2.0)),
+                                       (u[:, 1:], np.sqrt((row + 1) / 2.0)))):
+            P = w[..., None] * v
+            x[2 * k, group, :n0 - 1] = np.einsum("gij,gij->gj", rows[:, :, :-1], P)
+            x[2 * k + 1, group, :n0 - 1] = np.einsum("gij,gij->gj", rows[:, :, 1:], P)
+        u2 = u ** 2
+        norms[0, group, :n0] = np.einsum(
+            "gij,gi->gj", u2, weight[np.minimum(level[:n0] + s, dim - 1)])
+        norms[1, group, :n0] = np.einsum("gij,i->gj", u2, weight[:n0])
+    s, j = np.nonzero(level < dim - 1 - level[:, None])
+    tn, tm = np.empty((dim - 1, dim)), np.empty((dim, dim - 1))
+    tn[s + j, j], tm[s + j + 1, j], tm[j, s + j], tn[j, s + j + 1] = x[:, s, j]
+    s, j = np.nonzero(level < dim - level[:, None])
+    norm = np.empty((dim, dim))
+    norm[s + j, j], norm[j, s + j] = norms[:, s, j]
+    if mode == 1:
+        tn, tm, norm = tm.T, tn.T, norm.T
+    rest = norm.copy()
+    rest[:-1] -= tn ** 2
+    rest[1:] -= tn ** 2
+    rest[:, :-1] -= tm ** 2
+    rest[:, 1:] -= tm ** 2
+    lp, t = probe.log_probs, np.concatenate((tn.ravel(), tm.ravel()))
+    return ((t if mode == 0 else -t), t,
+            np.concatenate((lp[:-1].ravel(), lp[:, 1:].ravel())),
+            np.concatenate((lp[1:].ravel(), lp[:, :-1].ravel())), rest)
 
 
 def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
@@ -349,7 +404,7 @@ def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
         raise ValueError("mode index out of range")
     pairs = _single_mode_pairs if probe.modes == 1 else _sector_pairs
     ta, tq, ls, lt, rest = pairs(probe, mode)
-    leakage = np.max(np.exp(np.concatenate(probe.log_probs)) * rest)
+    leakage = np.max(np.exp(probe.log_probs) * rest)
     hi, lo = np.maximum(ls, lt), np.minimum(ls, lt)
     # e = p_lo / p_hi <= 1, and 0 where both probabilities are 0
     e = np.exp(lo - np.where(hi > -np.inf, hi, 0.0))

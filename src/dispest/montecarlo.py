@@ -141,7 +141,8 @@ def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
     (q0, p0), if any, then the outcomes θ/div + sd·z; estimates are gain·o.
     The buffers serve every chunk, so recorded chunks are copies.  Returns
     the sums (Σq̂, Σp̂, Σe_q, Σe_p, Σe_q², Σe_p², Σ(e_q+e_p)²) of the squared
-    errors e, or (Σo², Σo·θ, Σθ²) if scan, and the recorded chunks.
+    errors e, or (Σr², Σr·θ, Σθ²) of the residuals r = gain·o − θ if scan,
+    and the recorded chunks.
     """
     sums, chunks = np.zeros(3 if scan else 7), []
     fixed = np.array([[cfg.q0], [cfg.p0]]) if cfg.prior_delta is None else None
@@ -158,9 +159,11 @@ def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
         out *= sd
         out += loc
         if scan:
-            sums += (np.multiply(out, out, out=tmp).sum(),
-                     np.multiply(out, theta, out=tmp).sum(),
-                     np.multiply(theta, theta, out=tmp).sum())
+            s_tt = np.multiply(theta, theta, out=tmp).sum()
+            res = np.multiply(out, gain, out=out)
+            res -= theta
+            sums += (np.multiply(res, res, out=tmp).sum(),
+                     np.multiply(res, theta, out=tmp).sum(), s_tt)
             continue
         np.multiply(out, gain, out=est)
         if record:
@@ -285,8 +288,10 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
 
     The outcomes do not depend on K, so one set of draws serves the whole
     grid, which keeps the empirical curve smooth in K.  The MSE is quadratic
-    in K: with o the outcomes and θ the true parameters,
-    M·MSE(K) = 2K²Σo² − 2√2·K·Σo·θ + Σθ², so three sums give every K.
+    in K: with o the outcomes, θ the true parameters and e = √2·o − θ,
+    M·MSE(K) = K²Σe² + 2K(K−1)Σe·θ + (K−1)²Σθ², so three sums give every K.
+    Each term is then of the size of the result near K*, with no Δ²/MSE
+    cancellation.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size < 2 or np.any(k_grid <= 0) or np.any(k_grid > 1.0 + 1e-12):
@@ -294,8 +299,9 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
     cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, N2=N2,
                            prior_delta=delta, workers=workers)
     sd = np.sqrt(_quadrature_variance(cfg))
-    (s_oo, s_ot, s_tt), _ = _sample(cfg, _SQRT2, [sd, sd], scan=True)
-    mse = (2.0 * k_grid ** 2 * s_oo - 2.0 * _SQRT2 * k_grid * s_ot + s_tt) / shots
+    (s_ee, s_et, s_tt), _ = _sample(cfg, _SQRT2, [sd, sd], _SQRT2, scan=True)
+    mse = (k_grid ** 2 * s_ee + 2.0 * k_grid * (k_grid - 1.0) * s_et
+           + (k_grid - 1.0) ** 2 * s_tt) / shots
     best = int(np.argmin(mse))
     return KMinScan(k_grid=k_grid, mse=mse, k_star=float(k_grid[best]),
                     mse_star=float(mse[best]))

@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ def test_library_value_errors_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["bounds", "--probe", "tmst", "--r", "1"])
     assert code == 3
     assert err.startswith("numerical failure")
+
+
+@pytest.mark.parametrize("args", [["--probe", "tmst", "--r", "200", "--N", "0.5"],
+                                  ["--probe", "tmst", "--r", "360", "--N", "0.5"],
+                                  ["--probe", "single", "--r", "400", "--N", "0.5"]],
+                         ids=["tmst-200", "tmst-360", "single-400"])
+def test_bounds_at_the_edge_of_the_float_range(capsys, args):
+    """B_R stays exact while sinh^4 r overflows (r = 200); once H overflows,
+    bounds exits 3 with one line and no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["bounds", *args])
+    if args[3] != "200":
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure") and err.count("\n") == 1
+        return
+    assert code == 0
+    with mpmath.workdps(30):  # 4N(N + 1)/((2N + 1) cosh 2r - 1)
+        b_r = float(mpmath.mpf(3) / (2 * mpmath.cosh(400) - 1))
+    assert load_record(out)["results"]["b_rld"] == pytest.approx(b_r, rel=1e-14)
 
 
 def test_fig3_bad_deltas_exit_2(capsys, tmp_path):

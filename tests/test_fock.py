@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -124,17 +126,23 @@ def test_entrywise_equivalence_with_gaussian_forms(r, N):
 # floor.  Its default floor (1e-10) biases J by ~1e-7 at these dims, and
 # floors below ~1e-13 let roundoff in far pairs through; at 1e-12 both stay
 # below the tolerance.
-PASS_PROBES = {"tmst_asym": ("tmst_asym", 0.3, 0.3, 0.15), "single": ("single", 0.4, 0.6)}
+# The tmst probe's dim (37) spans three groups of the grouped pass.
+PASS_PROBES = {"tmst_asym": ("tmst_asym", 0.3, 0.3, 0.15), "single": ("single", 0.4, 0.6),
+               "tmst": ("tmst", 0.45, 0.5)}
 
 
-@pytest.mark.parametrize("kind,mode", [("tmst_asym", 0), ("tmst_asym", 1), ("single", 0)])
+def group_count(dim):
+    return len(list(fock._groups(list(range(dim, 0, -1)))))
+
+
+@pytest.mark.parametrize("kind,mode", [("tmst_asym", 0), ("tmst_asym", 1), ("single", 0),
+                                       ("tmst", 0), ("tmst", 1)])
 def test_adjacent_pass_matches_dense_route(kind, mode):
     probe = build_probe_fock(*PASS_PROBES[kind])
-    dense = dense_copy(probe)
-    assert np.allclose(sld_fisher_fock(probe, mode), sld_fisher_fock(dense, mode),
-                       atol=1e-9)
-    assert np.allclose(rld_fisher_fock(probe, mode),
-                       rld_fisher_fock(dense, mode, inv_floor=1e-12), atol=1e-8)
+    assert kind != "tmst" or group_count(probe.dim) >= 3
+    H, J = fock._fisher(dense_copy(probe), mode, rld=True, inv_floor=1e-12)
+    assert np.allclose(sld_fisher_fock(probe, mode), H, atol=1e-9)
+    assert np.allclose(rld_fisher_fock(probe, mode), J, atol=1e-8)
 
 
 @pytest.mark.parametrize("args,dim", [(("tmst_asym", 0.4, 0.6, 0.25), 18),
@@ -233,13 +241,17 @@ def _sector_generator(r, dim, d):
     return np.diag(c, k=1) - np.diag(c, k=-1)
 
 
+# dim 60 spans more than three groups of the grouped build; the two
+# single-mode parity blocks differ in size at odd dims and match at even ones.
 @pytest.mark.parametrize("r", [0.0, 0.4, 1.0, 1.5])
 @pytest.mark.parametrize("dim", [8, 25, 60])
 def test_squeezer_blocks_match_expm(r, dim):
     blocks = fock._sector_squeeze_blocks(r, dim)
     assert len(blocks) == 2 * dim - 1
-    for d in (0, 3, -3):
+    assert dim < 60 or group_count(dim) > 3
+    for d in range(1 - dim, dim):
         U = blocks[d + dim - 1]
+        assert U.flags.c_contiguous and U.base is None
         assert np.abs(U - expm(_sector_generator(r, dim, d))).max() < 1e-12
     a = fock.ladder(dim)
     U = fock._single_squeeze_unitary(r, dim)
@@ -324,6 +336,21 @@ def test_bad_probe_parameters_raise_before_building(monkeypatch, args):
         build_probe_fock(*args, dim=10)
     with pytest.raises(ValueError):
         fock_fisher_converged(*args)
+
+
+def test_largest_oracle_point_memory():
+    """The oracle's peak allocation stays within 4x the blocks of its larger
+    probe: padded group stacks do not outlive the build or the pass."""
+    probe = build_probe_fock("tmst", 0.702, 0.752, dim=77, tail_tol=np.inf)
+    blocks = sum(U.nbytes for U in probe.blocks[76:])   # each |d| once
+    del probe
+    tracemalloc.start()
+    try:
+        fock_fisher_converged("tmst", 0.702, 0.752)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * blocks
 
 
 def test_oracle_reaches_tmst_at_r_1_5():

@@ -248,18 +248,20 @@ def test_stream_contract(baseline, kw):
 
 
 def test_k_scan_exact():
-    """The K scan from three sums equals the explicit per-K sums."""
-    r, N, delta, shots, seed = 1.5, 0.2, 3.0, 150_000, 21
+    """The K scan from three sums equals the explicit per-K sums, also where
+    the prior is wide against the noise."""
+    r, N, shots, seed = 1.5, 0.2, 150_000, 21
     k_grid = np.linspace(0.8, 1.0, 41)
-    scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed, workers=2)
-    sd = np.sqrt(scheme_variance_sum(r, N) / 4)
-    (tq, tp), (oq, op) = reference_draws(seed, 2, shots, sd, delta=delta)
-    explicit = np.array([(((SQRT2 * k * oq - tq) ** 2).sum()
-                           + ((SQRT2 * k * op - tp) ** 2).sum()) / shots
-                          for k in k_grid])
-    assert np.allclose(scan.mse, explicit, rtol=1e-12, atol=0)
-    assert scan.k_star == k_grid[np.argmin(explicit)]
-    assert scan.mse_star == scan.mse.min()
+    for delta in (3.0, 1e3):
+        scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed, workers=2)
+        sd = np.sqrt(scheme_variance_sum(r, N) / 4)
+        (tq, tp), (oq, op) = reference_draws(seed, 2, shots, sd, delta=delta)
+        explicit = np.array([(((SQRT2 * k * oq - tq) ** 2).sum()
+                               + ((SQRT2 * k * op - tp) ** 2).sum()) / shots
+                              for k in k_grid])
+        assert np.allclose(scan.mse, explicit, rtol=1e-12, atol=0), delta
+        assert scan.k_star == k_grid[np.argmin(explicit)]
+        assert scan.mse_star == scan.mse.min()
 
 
 class _NoThreads:
