@@ -177,33 +177,67 @@ def _mat(m00, m01, m10, m11) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
-def _trace_prod(G, X):
-    """tr[G X] over the last two axes; G = None is the identity."""
-    return np.einsum("...ij,...ji->...", np.eye(2) if G is None else G, X)
+def _entries(m):
+    """The entries (m00, m01, m10, m11) of a matrix stack (..., 2, 2)."""
+    m = np.asarray(m)
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def _det(x):
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def _adj(x):
+    return x[3], -x[1], -x[2], x[0]
+
+
+def _trace_prod(G, x):
+    """tr[G X] for X given by its entries; G = None is the identity."""
+    if G is None:
+        return x[0] + x[3]
+    g = _entries(G)
+    return g[0] * x[0] + g[1] * x[2] + g[2] * x[1] + g[3] * x[3]
 
 
 def _sld(H, prior, weight, shots):
-    """tr[G (H + A)^-1] / M; +inf where H + A is singular."""
-    T = H if prior is None else H + prior
-    det = np.linalg.det(T)
-    singular = np.abs(det) < 1e-300
-    T = np.where(singular[..., None, None], np.eye(2), T)
-    return np.where(singular, np.inf, _trace_prod(weight, np.linalg.inv(T))) / shots
+    """tr[G (H + A)^-1] / M; +inf where |det(H + A)| < 1e-300.  T = H + A is
+    first divided by its largest entry s (at least 1e-300), so that det T
+    cannot overflow: tr[G T^-1] = tr[G adj T'] / (s det T') with T' = T/s."""
+    t = _entries(H if prior is None else H + prior)
+    s = np.maximum(np.maximum(abs(t[0]), abs(t[1])), np.maximum(abs(t[2]), abs(t[3])))
+    s = np.maximum(s, 1e-300)
+    t = tuple(e / s for e in t)
+    det = _det(t) * s
+    singular = abs(det) < 1e-300 / s
+    det = np.where(singular, 1.0, det)
+    return np.where(singular, np.inf, _trace_prod(weight, _adj(t)) / det) / shots
 
 
 def _rld(j_inv, prior, weight, shots):
-    """(tr[G Re X] + tr|G Im X|) / M with X = (J + A)^-1 = (I + J^-1 A)^-1 J^-1;
-    the 2x2 trace norm of Y is sqrt(|Y|_F^2 + 2 |det Y|)."""
-    X = j_inv
+    """(tr[G Re X] + tr|G Im X|) / M for the Hermitian part of X = (J + A)^-1.
+
+    For 2x2 matrices X = (J^-1 + D adj A) / det K with D = det J^-1 and
+    det K = det(I + J^-1 A) = 1 + tr[J^-1 A] + D det A, which stays finite
+    for pure probes where J diverges.  The imaginary part of a Hermitian X is
+    [[0, w], [-w, 0]], so tr|G Im X| = |w| |G|_1 with the trace norm
+    |G|_1 = sqrt(|G|_F^2 + 2 |det G|) (2 for G = I)."""
+    x = _entries(j_inv)
     if prior is not None:
-        K = np.eye(2) + j_inv @ prior
-        if np.any(np.abs(np.linalg.det(K)) < 1e-14):
+        a = _entries(prior)
+        d = _det(x)
+        det = 1.0 + _trace_prod(prior, x) + d * _det(a)
+        if np.any(abs(det) < 1e-14):
             raise RLDUnavailableError("RLD bound unavailable: singular J + A")
-        X = np.linalg.solve(K, j_inv)
-        X = 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
-    Y = X.imag if weight is None else weight @ X.imag
-    norm = np.sqrt((Y * Y).sum(axis=(-2, -1)) + 2.0 * np.abs(np.linalg.det(Y)))
-    return (_trace_prod(weight, X.real) + norm) / shots
+        x = tuple((e + d * f) / det for e, f in zip(x, _adj(a)))
+    off = 0.5 * (x[1].real + x[2].real)
+    w = abs(0.5 * (x[1].imag - x[2].imag))
+    if weight is None:
+        norm = 2.0 * w
+    else:
+        g = _entries(weight)
+        norm = w * np.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2
+                           + 2.0 * abs(_det(g)))
+    return (_trace_prod(weight, (x[0].real, off, off, x[3].real)) + norm) / shots
 
 
 def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
@@ -310,6 +344,16 @@ def scaling_factors(var0, delta: float) -> ScalingFactors:
     return ScalingFactors(k_c, k_min, mse_min, mse_kc)
 
 
+def check_in_range(r, *values) -> None:
+    """Raise ValueError unless every entry of values is finite.  The closed
+    forms leave the floating-point range at large r (H overflows above
+    r ~ 355); each array is tested once, whatever the length of the r grid."""
+    if not all(np.isfinite(v).all() for v in values):
+        r = np.asarray(r)
+        at = f"r={r.item():g}" if r.ndim == 0 else f"r in [{r.min():g}, {r.max():g}]"
+        raise ValueError(f"values at {at} are outside the floating-point range")
+
+
 def bound_most_informative(query: BoundQuery) -> BoundReport:
     """Evaluate B_S, B_R and B_MI = max(B_S, B_R) for a probe family.
 
@@ -330,10 +374,8 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
             scheme_variance = scheme_variance_sum(query.r, query.N)
             if query.delta is None and query.weight is None and query.shots == 1:
                 gap = gap_D(query.r, query.N)
-    reported = [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None]
-    if not (np.isfinite(H).all() and np.isfinite(j_inv).all()
-            and np.isfinite(reported).all()):
-        raise ValueError(f"bounds at r={query.r:g} are outside the floating-point range")
+    check_in_range(query.r, H, j_inv,
+                   [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None])
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
                        branch=str(branch), r_ths=r_ths, r_sql=r_sql,
                        scheme_variance=scheme_variance, gap=gap, query=query)

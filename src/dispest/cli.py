@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     evaluate_bounds, gap_D, probe_fisher, scaling_factors,
-                     scheme_variance_sum)
+                     check_in_range, evaluate_bounds, gap_D, probe_fisher,
+                     scaling_factors, scheme_variance_sum)
 from .fock import PureStateError, TruncationError
 from .gaussian import tmst_cov
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme
@@ -36,10 +36,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit_record(command: str, config: dict, results: dict, started: float) -> dict:
@@ -62,13 +58,15 @@ def finite(text: str) -> float:
 
 
 def _write_csv(path, header_cols, rows, command: str, config: dict):
-    lines = [f"# tool: dispest {__version__}",
-             f"# command: {command}",
-             f"# config: {json.dumps(config, sort_keys=True)}",
-             ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    """Write a commented header and one line per row, every number as %.17g
+    (the same text as format(float(x), ".17g"), so values round-trip)."""
+    row_fmt = ",".join(["%.17g"] * len(header_cols)) + "\n"
+    lines = [f"# tool: dispest {__version__}\n",
+             f"# command: {command}\n",
+             f"# config: {json.dumps(config, sort_keys=True)}\n",
+             ",".join(header_cols) + "\n"]
+    lines += [row_fmt % tuple(row) for row in rows]
+    text = "".join(lines)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -225,7 +223,9 @@ def cmd_figure(args) -> int:
         ns = (0.0, 0.5, 2.0)
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
-        columns = [grid] + [gap_D(grid, n) for n in ns]
+        with np.errstate(all="ignore"):  # values out of range raise below
+            columns = [grid] + [gap_D(grid, n) for n in ns]
+        check_in_range(grid, *columns[1:])
         _write_csv(os.path.join(out, "fig2.csv"),
                    ["r", "D_N0", "D_N0.5", "D_N2"], _rows(columns), "figure", config)
         print(os.path.join(out, "fig2.csv"))
@@ -237,7 +237,10 @@ def cmd_figure(args) -> int:
     n_th = args.N if args.N is not None else 1.0
     if min(deltas) <= 0 or n_th < 0:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
-    fisher = probe_fisher("tmst", grid, n_th)
+    with np.errstate(all="ignore"):  # values out of range raise below
+        fisher = probe_fisher("tmst", grid, n_th)
+    # a finite H keeps var0 > 0 and every column below finite
+    check_in_range(grid, *fisher)
     var0 = scheme_variance_sum(grid, n_th) / 2.0
     for delta in deltas:
         config = {"name": "fig3", "delta": delta, "N": n_th,
@@ -264,16 +267,18 @@ def cmd_sweep(args) -> int:
     if quantity in ("scheme_variance", "gap", "duan_lhs") and args.probe != "tmst":
         raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
     query = _probe_query(args)
-    if quantity == "scheme_variance":
-        values = scheme_variance_sum(grid, query.N)
-    elif quantity == "gap":
-        values = gap_D(grid, query.N)
-    elif quantity == "duan_lhs":
-        values = duan_lhs(tmst_cov(grid, query.N))
-    else:
-        H, j_inv = probe_fisher(query.kind, grid, query.N, query.N2)
-        b_s, b_r, b_mi, _ = evaluate_bounds(H, j_inv, query.delta)
-        values = {"b_sld": b_s, "b_rld": b_r, "b_mi": b_mi}[quantity]
+    with np.errstate(all="ignore"):  # values out of range raise below
+        if quantity == "scheme_variance":
+            values = scheme_variance_sum(grid, query.N)
+        elif quantity == "gap":
+            values = gap_D(grid, query.N)
+        elif quantity == "duan_lhs":
+            values = duan_lhs(tmst_cov(grid, query.N))
+        else:
+            H, j_inv = probe_fisher(query.kind, grid, query.N, query.N2)
+            b_s, b_r, b_mi, _ = evaluate_bounds(H, j_inv, query.delta)
+            values = {"b_sld": b_s, "b_rld": b_r, "b_mi": b_mi}[quantity]
+    check_in_range(grid, values)
 
     config = {"quantity": quantity, "probe": args.probe, "N": args.N,
               "N1": args.N1, "N2": args.N2, "delta": args.delta,

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dispest import (BoundQuery, bound_most_informative, bound_rld, bound_sld,
-                     displace, evaluate_bounds, gap_D, gaussian_fisher,
-                     make_squeezed_thermal, make_thermal, make_tmst,
-                     prior_fisher_gaussian, probe_fisher, scaling_factors,
-                     scheme_variance_sum, thresholds, vacuum)
+from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
+                     bound_rld, bound_sld, displace, evaluate_bounds, gap_D,
+                     gaussian_fisher, make_squeezed_thermal, make_thermal,
+                     make_tmst, prior_fisher_gaussian, probe_fisher,
+                     scaling_factors, scheme_variance_sum, thresholds, vacuum)
 
 R_GRID = (0.0, 0.3, 0.6, 1.0)
 N_GRID = (0.2, 0.5, 1.0, 2.0)
@@ -326,3 +329,59 @@ def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots)
                                                    rel=1e-10))
     assert b_mi == max(b_s, b_r)
     assert branch == ("RLD" if b_r > b_s else "SLD")
+
+
+def _linalg_bounds(H, j_inv, prior, G, shots):
+    """B_S and B_R of one 2x2 point through np.linalg, the reference for the
+    entrywise algebra of evaluate_bounds."""
+    T = H if prior is None else H + prior
+    b_s = np.trace(G @ np.linalg.inv(T)) / shots
+    X = j_inv if prior is None else np.linalg.solve(np.eye(2) + j_inv @ prior, j_inv)
+    X = 0.5 * (X + X.conj().T)
+    norm = np.linalg.svd(G @ X.imag, compute_uv=False).sum()
+    return b_s, (np.trace(G @ X.real) + norm) / shots
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), delta=st.sampled_from([None, 0.3, 5.0]),
+       weight=st.sampled_from(["identity", "single", "stacked"]),
+       shots=st.integers(1, 1000))
+def test_entrywise_algebra_matches_linalg(data, n, delta, weight, shots):
+    """Positive definite H, Hermitian positive semidefinite J^-1 and weights,
+    stacked n deep, against np.linalg one point at a time."""
+    def stack(shape=(n, 2, 2)):
+        return data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+
+    def gram(m):
+        return m @ np.conj(np.swapaxes(m, -1, -2))
+
+    H = gram(stack()) + 0.1 * np.eye(2)
+    j_inv = gram(stack() + 1j * stack())
+    G = {"identity": None, "single": gram(stack((2, 2))) + 0.1 * np.eye(2),
+         "stacked": gram(stack()) + 0.1 * np.eye(2)}[weight]
+    b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, delta, G, shots)
+    prior = None if delta is None else prior_fisher_gaussian(delta)
+    for k in range(n):
+        g = np.eye(2) if G is None else G if G.ndim == 2 else G[k]
+        ref_s, ref_r = _linalg_bounds(H[k], j_inv[k], prior, g, shots)
+        assert b_s[k] == pytest.approx(ref_s, rel=1e-12)
+        assert b_r[k] == pytest.approx(ref_r, rel=1e-12)
+    assert np.array_equal(b_mi, np.maximum(b_s, b_r))
+    assert np.array_equal(branch == "RLD", b_r > b_s)
+
+
+def test_singular_cases_of_the_entrywise_algebra():
+    """B_S is +inf exactly where |det(H + A)| < 1e-300, with no warning, and a
+    singular K = I + J^-1 A raises RLDUnavailableError."""
+    H = np.array([np.eye(2), np.ones((2, 2)), np.zeros((2, 2)),
+                  np.diag([1e-160, 1e-160]), np.diag([1e200, 3e200])])
+    j_inv = np.broadcast_to(np.array([[1.0, 0.5j], [-0.5j, 1.0]]), H.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b_s = evaluate_bounds(H, j_inv)[0]
+        assert np.array_equal(b_s[:4], [2.0, np.inf, np.inf, np.inf])
+        assert b_s[4] == pytest.approx(1e-200 + 1 / 3e200, rel=1e-15)
+        # H + A = 0 under the prior I/delta^2
+        assert evaluate_bounds(-4.0 * np.eye(2), j_inv[0], 0.5)[0] == np.inf
+    with pytest.raises(RLDUnavailableError):
+        evaluate_bounds(H, -0.25 * np.eye(2, dtype=complex), 0.5)

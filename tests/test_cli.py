@@ -7,6 +7,7 @@ import pytest
 
 from dispest import cli
 from dispest.fock import PureStateError
+from dispest.montecarlo import EstimationConfig, run_scheme
 
 
 def run_cli(capsys, args):
@@ -196,6 +197,52 @@ def test_bounds_at_the_edge_of_the_float_range(capsys, args):
     assert load_record(out)["results"]["b_rld"] == pytest.approx(b_r, rel=1e-14)
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--quantity", "b_mi", "--probe", "single", "--N", "0.5"],
+    ["sweep", "--quantity", "gap", "--N", "0.5"],
+    ["sweep", "--quantity", "duan_lhs", "--N", "0.5"],
+    ["figure", "fig2"],
+    ["figure", "fig3"],
+], ids=["sweep-b_mi", "sweep-gap", "sweep-duan_lhs", "fig2", "fig3"])
+def test_curves_past_the_float_range_exit_3(capsys, tmp_path, args):
+    """A grid that leaves the floating-point range exits 3 with one line, no
+    warning and no output, as bounds does."""
+    out = str(tmp_path / ("figures" if args[0] == "figure" else "sweep.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, [*args, "--r-min", "300", "--r-max", "400",
+                                             "--steps", "3", "--out", out])
+    assert code == 3 and stdout == ""
+    assert err == ("numerical failure: values at r in [300, 400] are outside "
+                   "the floating-point range\n")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweep_near_the_edge_of_the_float_range(capsys):
+    """det H overflows above r ~ 177 while H itself stays finite up to
+    r ~ 355: B_S = 2/cosh 2r (N = 0.5) stays exact and warning-free there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, ["sweep", "--quantity", "b_mi", "--N", "0.5",
+                                        "--r-min", "190", "--r-max", "350",
+                                        "--steps", "3"])
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.splitlines()[4:]])
+    with mpmath.workdps(30):
+        b_s = [float(2 / mpmath.cosh(2 * mpmath.mpf(r))) for r in rows[:, 0]]
+    assert rows[:, 1] == pytest.approx(b_s, rel=1e-14)
+
+
+def test_csv_numbers_are_the_17_digit_text(tmp_path):
+    values = [0.1, 1 / 3, -0.0, 5e-324, 2 ** 53 + 1, 1e16, 7, np.float64(0.1)]
+    path = tmp_path / "numbers.csv"
+    cli._write_csv(str(path), [f"c{i}" for i in range(len(values))],
+                   [values, values[::-1]], "test", {})
+    assert path.read_text().splitlines()[4:] == [
+        ",".join(format(float(x), ".17g") for x in row) for row in (values, values[::-1])]
+
+
 def test_fig3_bad_deltas_exit_2(capsys, tmp_path):
     for deltas in ("1,-2", "1,nan", "1,,2"):
         code, _, err = run_cli(capsys, ["figure", "fig3", "--out", str(tmp_path),
@@ -275,6 +322,14 @@ def test_simulate_dump_shots(capsys, tmp_path):
     rec = load_record(out)
     mse = np.mean((rows[:, 5] - rows[:, 1]) ** 2 + (rows[:, 6] - rows[:, 2]) ** 2)
     assert np.isclose(mse, rec["results"]["mse_sum"])
+    # every number is the 17-digit text of the int shot index or float64 value
+    per_shot = run_scheme(EstimationConfig(shots=500, seed=2, r=0.5, N=0.2, q0=0.1,
+                                           p0=0.2), record_shots=True).per_shot
+    columns = [per_shot[k] for k in ("q0", "p0", "outcome_q", "outcome_p",
+                                     "estimate_q", "estimate_p")]
+    assert path.read_text().splitlines()[4:] == [
+        ",".join(format(float(x), ".17g") for x in row)
+        for row in zip(range(500), *columns)]
 
     # several chunks on two worker streams: every dumped chunk is its own
     code, out, _ = run_cli(capsys, ["simulate", "--r", "0.5", "--N", "0.2",
