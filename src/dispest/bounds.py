@@ -101,9 +101,12 @@ class BoundReport:
     query: BoundQuery | None = None
 
 
-def _hermitian_pinv(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _hermitian_pinv(mat: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse that drops eigenvalues at the rounding level of mat,
+    a few epsilons of its largest; a coarser floor would drop the ~r^2 (N1 + 1)
+    eigenvalue of a vacuum mode squeezed by r ~ 1e-7."""
     vals, vecs = np.linalg.eigh(mat)
-    cut = floor * max(np.max(np.abs(vals)), 1.0)
+    cut = 4.0 * np.finfo(float).eps * np.max(np.abs(vals))
     inv = np.where(np.abs(vals) > cut, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
@@ -150,6 +153,11 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     if kind not in _KINDS:
         raise ValueError(f"unknown probe kind '{kind}'")
     check_probe(r, N, N2)
+    return _probe_fisher(kind, r, N, N2)
+
+
+def _probe_fisher(kind, r, N, N2):
+    """probe_fisher on checked inputs."""
     r, n1 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(N, dtype=float))
     if kind == "coherent":
         r, n1 = np.zeros_like(r), np.zeros_like(n1)
@@ -275,6 +283,10 @@ def thresholds(N: float) -> tuple[float, float]:
     scheme starts to beat the standard quantum limit.
     """
     check_probe(N=N)
+    return _thresholds(N)
+
+
+def _thresholds(N) -> tuple[float, float]:
     r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
     r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
     return float(r_ths), float(r_sql)
@@ -285,6 +297,10 @@ def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None
     is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
     and N2.  Gaussian displacement jitter (dq^2, dp^2) adds its variances."""
     check_probe(r, N, N2)
+    return _scheme_variance_sum(r, N, jitter, N2)
+
+
+def _scheme_variance_sum(r, N, jitter=None, N2=None):
     extra = sum(jitter) if jitter is not None else 0.0
     n = 2.0 * N if N2 is None else N + N2
     return 2.0 * (n + 1.0) * np.exp(-2.0 * np.asarray(r, dtype=float)) + extra
@@ -296,13 +312,17 @@ def gap_D(r, N):
     Broadcasts over r and N.  Uses the paper's closed forms as written, since
     at large r the gap is a difference of nearly equal terms."""
     check_probe(r, N)
+    return _gap_D(r, N)
+
+
+def _gap_D(r, N):
     r, N = np.asarray(r, dtype=float), np.asarray(N, dtype=float)
     c = np.cosh(2.0 * r)
     b_s = (2.0 * N + 1.0) / c
     with np.errstate(invalid="ignore"):  # B_R is 0/0 only at r = N = 0
         b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * c - 1.0)
     b_mi = np.fmax(b_s, b_r)
-    E = scheme_variance_sum(r, N)
+    E = _scheme_variance_sum(r, N)
     return ((E - b_mi) / b_mi)[()]
 
 
@@ -362,18 +382,19 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
     For pure two-mode probes B_R is the zero N -> 0+ limit, so B_MI follows
     the SLD branch there.  Raises ValueError where a Fisher matrix or a
     reported value is outside the floating-point range (H overflows above
-    r ~ 355).
+    r ~ 355).  The query was checked when it was built, so the private cores
+    run here without a second check.
     """
     with np.errstate(all="ignore"):  # values out of range raise below
-        H, j_inv = probe_fisher(query.kind, query.r, query.N, query.N2)
+        H, j_inv = _probe_fisher(query.kind, query.r, query.N, query.N2)
         b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, query.delta, query.weight,
                                                  query.shots)
         r_ths = r_sql = scheme_variance = gap = None
         if query.kind == "tmst":
-            r_ths, r_sql = thresholds(query.N)
-            scheme_variance = scheme_variance_sum(query.r, query.N)
+            r_ths, r_sql = _thresholds(query.N)
+            scheme_variance = _scheme_variance_sum(query.r, query.N)
             if query.delta is None and query.weight is None and query.shots == 1:
-                gap = gap_D(query.r, query.N)
+                gap = _gap_D(query.r, query.N)
     check_in_range(query.r, H, j_inv,
                    [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None])
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),

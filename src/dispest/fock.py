@@ -30,6 +30,8 @@ copied out of its stack.  Every other probe, such as a displaced one
 (displace_fock), takes one dense route: one eigendecomposition of rho, the
 full T of both generators in its eigenbasis, and the SLD and RLD sums over
 all eigenpairs, the RLD with rho^-1 on the eigenvalues above an inverse floor.
+scipy (dstevd, expm) is imported inside the two functions that call it, so
+that importing dispest loads it only once the oracle runs.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dstevd
 
 from .gaussian import check_probe
 
@@ -96,6 +96,14 @@ def _groups(sizes: list):
         start = stop
 
 
+def _stack(blocks: list, size: int) -> np.ndarray:
+    """The square blocks zero-padded into one (count, size, size) stack."""
+    stack = np.zeros((len(blocks), size, size))
+    for i, U in enumerate(blocks):
+        stack[i, :len(U), :len(U)] = U
+    return stack
+
+
 def _expm_tridiagonal(cs: list) -> list:
     """exp(G) for each c in cs, of non-increasing size: G[k, k+1] = c[k] =
     -G[k+1, k], so exp(G) is real orthogonal.
@@ -107,6 +115,8 @@ def _expm_tridiagonal(cs: list) -> list:
     One dstevd call per block; the rest runs on zero-padded stacks of
     consecutive blocks, from which each block is copied out.
     """
+    from scipy.linalg.lapack import dstevd
+
     out = []
     for group in _groups([c.size + 1 for c in cs]):
         half = (cs[group.start].size + 2) // 2          # ceil(n/2) of the first
@@ -211,13 +221,29 @@ class FockOperatorSet:
         return float(np.sum(np.exp(self.log_probs) ** 2))
 
     def number_diagonal(self) -> np.ndarray:
-        """Diagonal of rho0 in the bare Fock basis."""
+        """Diagonal of rho0 in the bare Fock basis.
+
+        Two-mode sectors ±s share one block, so each zero-padded stack of
+        _groups takes one batched product with the column probabilities of
+        both sectors, p[k + s, k] and p[k, k + s]; p is padded with zero rows
+        so that the padded columns read 0."""
         if self.rho_dense is not None:
             return np.real(np.diag(self.rho_dense)).copy()
-        diag = np.zeros(self.dim ** self.modes)
-        for (idx, lp), U in zip(self._block_states(), self.blocks):
-            diag[idx] = (U ** 2) @ np.exp(lp)
-        return diag
+        p = np.exp(self.log_probs)
+        if self.modes == 1:
+            return (self.blocks[0] ** 2) @ p
+        dim, level = self.dim, np.arange(self.dim)
+        pad = np.zeros((2, 2 * dim, dim))   # at (k + s, k): p[k + s, k], p[k, k + s]
+        pad[0, :dim], pad[1, :dim] = p, p.T
+        out = np.zeros_like(pad)
+        for group in _groups([dim - s for s in range(dim)]):
+            n0, s = dim - group.start, level[group, None]
+            k = level[:n0]
+            cols = pad[:, k + s, k].transpose(1, 2, 0)   # (count, n0, 2)
+            cols[s[:, 0] == 0, :, 1] = 0.0                # sector 0 once
+            x = _stack(self.blocks[dim - 1:][group], n0) ** 2 @ cols
+            out[:, k + s, k] = x.transpose(2, 0, 1)
+        return (out[0, :dim] + out[1, :dim].T).ravel()
 
     def tail_mass(self) -> float:
         """Probability weight on the top 10% of Fock levels of any mode."""
@@ -321,6 +347,8 @@ def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
+    from scipy.linalg import expm
+
     q, p = quadratures(probe.dim)
     D = expm(1j * p0 * _on_modes(probe, {mode: q}) - 1j * q0 * _on_modes(probe, {mode: p}))
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
@@ -361,9 +389,7 @@ def _sector_pairs(probe: FockOperatorSet, mode: int):
     x, norms = np.zeros((4, dim, dim)), np.zeros((2, dim, dim))   # at (s, j)
     for group in _groups([dim - s for s in range(dim)]):
         n0, s = dim - group.start, level[group, None]
-        stack = np.zeros((group.stop - group.start + 1, n0, n0))
-        for i, U in enumerate(blocks[group.start:group.stop + 1]):
-            stack[i, :len(U), :len(U)] = U
+        stack = _stack(blocks[group.start:group.stop + 1], n0)
         u, v, row = stack[:-1], stack[1:, :-1, :-1], level[:n0 - 1]
         for k, (rows, w) in enumerate(((u[:, :-1], np.sqrt((row + s + 1) / 2.0)),
                                        (u[:, 1:], np.sqrt((row + 1) / 2.0)))):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import scaling_factors, scheme_variance_sum
+from .bounds import _scheme_variance_sum, scaling_factors
 from .gaussian import check_probe
 
 _CHUNK = 1 << 16
@@ -116,7 +116,7 @@ def _quadrature_variance(cfg: EstimationConfig) -> float:
     """
     if cfg.r is None or cfg.N is None:
         raise ValueError("scheme runs need r and N")
-    return scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
+    return _scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
 
 
 def _resolve_k(cfg: EstimationConfig, var0: float) -> float:

@@ -298,6 +298,32 @@ def test_asym_product_state_at_zero_squeezing(n1):
     assert rep.b_sld == pytest.approx(2 * n1 + 1, rel=1e-14)
 
 
+@pytest.mark.parametrize("r", [1e-7, 3e-7])
+@pytest.mark.parametrize("n1", [0.05, 1.0, 3.0])
+def test_covariance_route_keeps_the_weakly_squeezed_vacuum_mode(r, n1):
+    """The vacuum mode of tmst_asym with N2 = 0 has the eigenvalue
+    ~r^2 (N1 + 1) in its block of cov + (i/2) Omega; a pseudo-inverse floor
+    above the block's rounding level drops it, which gave B_R = 2N1 + 2 (the
+    r = 0 product state) instead of the closed form."""
+    fm = gaussian_fisher(make_tmst(r, n1, 0.0))
+    H, j_inv = probe_fisher("tmst_asym", r, n1, 0.0)
+    assert bound_rld(fm) == pytest.approx(float(evaluate_bounds(H, j_inv)[1]), rel=1e-12)
+    assert bound_rld(fm) == pytest.approx(2 * n1, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, N2, delta", [("tmst", None, None), ("tmst", None, 2.0),
+                                             ("tmst_asym", 0.4, None), ("single", None, None),
+                                             ("coherent", None, 0.5)])
+def test_a_checked_query_is_not_checked_again(probe_checks, kind, N2, delta):
+    r, N = (0.0, 0.0) if kind == "coherent" else (0.7, 1.0)
+    query = BoundQuery(kind=kind, r=r, N=N, N2=N2, delta=delta)
+    assert len(probe_checks) == 1
+    del probe_checks[:]
+    report = bound_most_informative(query)
+    assert probe_checks == []
+    assert report.b_mi == max(report.b_sld, report.b_rld)
+
+
 def _zero_or(lo, hi):
     return st.just(0.0) | st.floats(lo, hi)
 
@@ -312,10 +338,12 @@ def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots)
     """The closed forms against the covariance route of gaussian_fisher, whose
     Schur complement loses ~e^{4r}/(N(N+1)) machine epsilons; N >= 0.05 keeps
     that below the 1e-10 gate.  With N2 = 0 the second mode's block has an
-    eigenvalue ~r^2 that the pseudo-inverse floor drops below r ~ 1e-6, so
-    that route needs r = 0 or r >= 1e-5.  Pure two-mode probes (N = N2 = 0)
+    eigenvalue ~r^2 (N1 + 1), which the stored covariance holds only to a
+    few ulps of 1/2 below r ~ 7e-8 (J^-1 then errs by percents, and the prior's
+    det(I + J^-1 A) can change sign), so that route needs r = 0 or
+    r >= 1e-7.  Pure two-mode probes (N = N2 = 0)
     take the N -> 0+ limit of B_R, zero."""
-    assume(not (kind == "tmst_asym" and N2 == 0.0 and 0.0 < r < 1e-5))
+    assume(not (kind == "tmst_asym" and N2 == 0.0 and 0.0 < r < 1e-7))
     G = np.array([[g[0], g[1] * np.sqrt(g[0] * g[2])],
                   [g[1] * np.sqrt(g[0] * g[2]), g[2]]])
     n2 = N2 if kind == "tmst_asym" else None

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import dispest
 from dispest import cli
 from dispest.fock import PureStateError
 from dispest.montecarlo import EstimationConfig, run_scheme
@@ -433,3 +437,47 @@ def test_parser_is_built_once_and_parses_without_state(capsys):
     assert code == 0 and load_record(out)["config"]["N"] == 1.0
     code, out, _ = run_cli(capsys, ["bounds", "--probe", "single", "--r", "0.3"])
     assert code == 0 and load_record(out)["config"]["N"] == 0.0
+
+
+@pytest.mark.parametrize("args", [
+    ["--r", "0.7", "--N", "1", "--q0", "0.1", "--p0", "-0.2"],
+    ["--r", "0.7", "--N", "1", "--N2", "0.5", "--prior-delta", "2", "--scaling", "optimal"],
+    ["--baseline", "--prior-delta", "2", "--jitter", "0.01,0.02"],
+])
+def test_simulate_checks_the_probe_at_most_twice(capsys, probe_checks, args):
+    """Once in EstimationConfig and once in the BoundQuery of bound_mi."""
+    code, _, _ = run_cli(capsys, ["simulate", "--shots", "1000", *args])
+    assert code == 0
+    assert len(probe_checks) <= 2
+
+
+# runs each command in a fresh interpreter, then the Fock oracle
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+from dispest import cli
+commands = [["bounds", "--probe", "tmst", "--r", "0.7", "--N", "1"],
+            ["simulate", "--r", "0.7", "--N", "1", "--shots", "1000",
+             "--q0", "0", "--p0", "0"],
+            ["sweep", "--quantity", "b_mi", "--steps", "5"],
+            ["figure", "fig2", "--steps", "5", "--out", sys.argv[1]]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(args) for args in commands]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from dispest import fock_fisher_converged
+fock_fisher_converged("tmst", 0.3, 0.5)
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_commands_load_scipy_only_with_the_fock_oracle(tmp_path):
+    src = os.path.dirname(os.path.dirname(dispest.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["before"] == []
+    assert report["after"]

@@ -269,6 +269,24 @@ def test_opposite_sectors_share_their_block():
                               expm(_sector_generator(0.8, dim, -d)))
 
 
+@pytest.mark.parametrize("kind, r, N, N2, dim", [
+    ("tmst", 0.7, 1.0, None, 8), ("tmst", 0.7, 1.0, None, 25),
+    ("tmst_asym", 0.5, 0.3, 1.2, 60),
+    ("tmst", 0.702, 0.752, None, None),   # the benchmark oracle's largest point
+])
+def test_grouped_number_diagonal_matches_the_sector_loop(kind, r, N, N2, dim):
+    probe = build_probe_fock(kind, r, N, N2, dim=dim, tail_tol=1e-10 if dim is None else np.inf)
+    expected = np.zeros(probe.dim ** 2)
+    for d in range(1 - probe.dim, probe.dim):
+        U = probe.blocks[probe.dim - 1 + d]
+        expected[fock._sector_states(probe.dim, d)] = (
+            U ** 2 @ np.exp(np.diagonal(probe.log_probs, -d)))
+    assert np.max(np.abs(probe.number_diagonal() - expected)) <= 1e-15
+    grid = expected.reshape(probe.dim, probe.dim)
+    cut = int(np.ceil(0.9 * probe.dim))
+    assert abs(probe.tail_mass() - (grid.sum() - grid[:cut, :cut].sum())) <= 1e-15
+
+
 @pytest.fixture
 def tail_calls(monkeypatch):
     """Dims at which build_probe_fock measured the tail mass."""
