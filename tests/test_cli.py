@@ -108,6 +108,8 @@ def test_bounds_csv_format(capsys):
     ["sweep", "--quantity", "gap", "--probe", "single"],
     ["figure", "fig2", "--steps", "1"],
     ["nonsense"],
+    ["simulate", "--r", "0.5", "--N", "0.2", "--shots", "1000", "--q0", "0",
+     "--p0", "0", "--seed", "-1"],
 ])
 def test_usage_errors_exit_2(capsys, args):
     code, _, err = run_cli(capsys, args)

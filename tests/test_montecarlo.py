@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def test_config_validation():
         EstimationConfig(**base, jitter=(np.nan, 0.0))
     with pytest.raises(ValueError):
         EstimationConfig(**{**base, "shots": 100, "workers": 101})
+    for field, bad in (("shots", 100_000.0), ("shots", True), ("workers", 1.5),
+                       ("workers", True), ("seed", 1.5), ("seed", -1),
+                       ("seed", False), ("seed", "7")):
+        with pytest.raises(ValueError):
+            EstimationConfig(**{**base, field: bad})
+    cfg = EstimationConfig(**{**base, "shots": np.int64(1000), "seed": np.uint32(7),
+                              "workers": np.int8(2)})
+    assert run_scheme(cfg).shots == 1000
 
 
 def test_bit_reproducibility():
@@ -200,6 +209,56 @@ def test_meta_coverage_over_seeds(maker, kw, target):
     assert hits >= 19
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("baseline,kw", [
+    (False, dict(r=1.0, N=0.5, q0=0.7, p0=-0.3)),
+    (False, dict(r=1.0, N=0.5, prior_delta=1.5, scaling="optimal",
+                 jitter=(0.05, 0.02))),
+    (True, dict(q0=0.2, p0=0.1)),
+])
+def test_recorded_run_matches_fused(baseline, kw, workers):
+    """Recording only adds copies of the outcomes and estimates to the fused
+    error pass, and the statistics match a recomputation from those copies."""
+    cfg = EstimationConfig(shots=200_001, seed=19, workers=workers, **kw)
+    runner = run_baseline_heterodyne if baseline else run_scheme
+    plain, rec = runner(cfg), runner(cfg, record_shots=True)
+    for key in ("mean_q", "mean_p", "mse_q", "mse_p", "se_mse_sum"):
+        assert getattr(rec, key) == pytest.approx(getattr(plain, key), rel=1e-12, abs=0)
+    shots = rec.per_shot
+    err2 = sum((shots[f"estimate_{quad}"] - shots[f"{quad}0"]) ** 2 for quad in "qp")
+    se = np.sqrt((np.mean(err2 ** 2) - np.mean(err2) ** 2) / cfg.shots)
+    assert se == pytest.approx(rec.se_mse_sum, rel=1e-12, abs=0)
+    assert np.mean(err2) == pytest.approx(rec.mse_sum, rel=1e-12, abs=0)
+    for quad in "qp":
+        assert np.mean(shots[f"estimate_{quad}"]) == pytest.approx(
+            getattr(rec, f"mean_{quad}"), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_memory_is_bounded(monkeypatch, workers):
+    """A run allocates three (2, _CHUNK) float buffers per thread and no other
+    full-size array: the traced peak stays within them plus 64 KiB."""
+    set_cores(monkeypatch, workers)
+    shots, bound = 8 * _CHUNK, workers * 3 * 2 * _CHUNK * 8 + 64 * 1024
+    run_scheme(scheme_cfg(shots=100))  # lazy numpy.random imports, untraced
+    calls = [
+        lambda: run_scheme(scheme_cfg(shots=shots, workers=workers)),
+        lambda: run_scheme(scheme_cfg(shots=shots, workers=workers, q0=None,
+                                      p0=None, prior_delta=2.0, scaling="optimal",
+                                      jitter=(0.1, 0.0))),
+        lambda: empirical_K_min(1.0, 0.5, 2.0, shots, np.linspace(0.5, 1.0, 11),
+                                workers=workers),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+
 def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
                     div=SQRT2):
     """The stream contract, drawn with Generator.normal: per worker stream and
@@ -209,7 +268,7 @@ def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
     theta, outcomes = [], []
     base, extra = divmod(shots, workers)
     for w in range(workers):
-        rng = np.random.Generator(np.random.Philox(children[w]))
+        rng = np.random.Generator(np.random.SFC64(children[w]))
         n_w = base + (w < extra)
         for done in range(0, n_w, _CHUNK):
             n = min(_CHUNK, n_w - done)
@@ -229,7 +288,7 @@ def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
 ])
 def test_stream_contract(baseline, kw):
     """Without jitter every recorded draw equals Generator.normal on the
-    worker's Philox substream, in the order (q0, p0, out_q, out_p) per chunk."""
+    worker's SFC64 substream, in the order (q0, p0, out_q, out_p) per chunk."""
     cfg = EstimationConfig(shots=150_001, seed=13, workers=2, **kw)
     runner = run_baseline_heterodyne if baseline else run_scheme
     res = runner(cfg, record_shots=True)
