@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (GaussianState, check_probe, make_squeezed_thermal,
-                       make_tmst, symplectic_form, vacuum)
+from .gaussian import (GaussianState, _tmst_form, check_probe,
+                       make_squeezed_thermal, make_tmst, symplectic_form, vacuum)
 
 _PURE_TOL = 1e-9
 _KINDS = ("coherent", "single", "tmst", "tmst_asym")
@@ -42,6 +42,12 @@ class FisherMatrices:
     j_inv: np.ndarray
     pure: bool
     mode: int
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """An integer of at least `least`; numpy integers pass, bool does not."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,7 @@ class BoundQuery:
         check_probe(self.r, self.N, self.N2)
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("prior width must be positive and finite")
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
+        _check_count("shots", self.shots, 1)
         if self.weight is not None:
             w = np.asarray(self.weight, dtype=float)
             if w.shape != (2, 2) or not np.all(np.isfinite(w)) \
@@ -158,25 +163,21 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _probe_fisher(kind, r, N, N2):
     """probe_fisher on checked inputs."""
-    r, n1 = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(N, dtype=float))
     if kind == "coherent":
-        r, n1 = np.zeros_like(r), np.zeros_like(n1)
-    n2 = n1 if N2 is None else np.asarray(N2, dtype=float)
-    nu1, nu2, zero = n1 + 0.5, n2 + 0.5, np.zeros(np.broadcast(n1, n2).shape)
+        r = N = np.zeros(np.broadcast(r, N).shape)
     if kind in ("coherent", "single"):
-        e = np.exp(2.0 * r)
-        return (_mat(1.0 / (nu1 * e), zero, zero, e / nu1),
-                _mat(nu1 * e, 0.5j + zero, -0.5j + zero, nu1 / e))
-    h = np.cosh(r) ** 2 / nu1 + np.sinh(r) ** 2 / nu2
-    sech2, t = (1.0 / np.cosh(r)) ** 2, np.tanh(r) ** 2
-    p1, p2 = n1 * (n1 + 1.0), n2 * (n2 + 1.0)
+        e, nu1 = np.exp(2.0 * np.asarray(r, float)), np.asarray(N, float) + 0.5
+        return (_mat(1.0 / (nu1 * e), 0.0, 0.0, e / nu1),
+                _mat(nu1 * e, 0.5j, -0.5j, nu1 / e))
+    *_, nu1, nu2, p1, p2, ch2, sh2, t, sech2 = _tmst_form(r, N, N2)
+    h = ch2 / nu1 + sh2 / nu2
     a = sech2 * (nu1 * p2 + t * nu2 * p1)
     b = sech2 * (sech2 * p2 + t * (p2 - p1))
     q = p2 + t * t * p1 + 2.0 * t * (nu1 * nu2 + 0.25)
     product = (q == 0) & (p1 > 0)
     a, b = np.where(product, nu1, a), np.where(product, 1.0, b)
     q = np.where(product, 1.0, np.where(q > 0, q, np.inf))
-    return _mat(h, zero, zero, h), _mat(a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
+    return _mat(h, 0.0, 0.0, h), _mat(a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
 
 
 def _mat(m00, m01, m10, m11) -> np.ndarray:
@@ -301,9 +302,7 @@ def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None
 
 
 def _scheme_variance_sum(r, N, jitter=None, N2=None):
-    extra = sum(jitter) if jitter is not None else 0.0
-    n = 2.0 * N if N2 is None else N + N2
-    return 2.0 * (n + 1.0) * np.exp(-2.0 * np.asarray(r, dtype=float)) + extra
+    return _tmst_form(r, N, N2).E + (sum(jitter) if jitter is not None else 0.0)
 
 
 def gap_D(r, N):

@@ -22,9 +22,7 @@ from .bounds import (BoundQuery, RLDUnavailableError, bound_most_informative,
                      check_in_range, evaluate_bounds, gap_D, probe_fisher,
                      scaling_factors, scheme_variance_sum)
 from .fock import PureStateError, TruncationError
-from .gaussian import tmst_cov
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme
-from .witness import duan_lhs
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
 
@@ -268,12 +266,10 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
     query = _probe_query(args)
     with np.errstate(all="ignore"):  # values out of range raise below
-        if quantity == "scheme_variance":
+        if quantity in ("scheme_variance", "duan_lhs"):  # E is the Duan sum at a = 1
             values = scheme_variance_sum(grid, query.N)
         elif quantity == "gap":
             values = gap_D(grid, query.N)
-        elif quantity == "duan_lhs":
-            values = duan_lhs(tmst_cov(grid, query.N))
         else:
             H, j_inv = probe_fisher(query.kind, grid, query.N, query.N2)
             b_s, b_r, b_mi, _ = evaluate_bounds(H, j_inv, query.delta)

@@ -41,7 +41,7 @@ from math import ceil
 
 import numpy as np
 
-from .gaussian import check_probe
+from .gaussian import _tmst_form, check_probe
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -271,12 +271,12 @@ def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
     n = V - 1/2 for V the largest reduced quadrature variance: the thermal
     state of variance V has weight x^cut, x = n/(n + 1), above level cut,
     which bounds the tail of each reduced mode (two-mode reduced states are
-    that thermal state).
+    that thermal state, of n = N_i + (N_1 + N_2 + 1) sinh^2 r for mode i).
     """
     if kind == "single":
         return (N + 0.5) * np.exp(2.0 * r) - 0.5, 1
-    c2, s2, n2 = np.cosh(r) ** 2, np.sinh(r) ** 2, N if N2 is None else N2
-    return max(N * c2 + (n2 + 1.0) * s2, n2 * c2 + (N + 1.0) * s2), 2
+    f = _tmst_form(r, N, N2)
+    return np.maximum(f.n1, f.n2) + (f.nu1 + f.nu2) * f.sh2, 2
 
 
 def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,

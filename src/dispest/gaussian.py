@@ -6,6 +6,7 @@ Quadratures are ordered (q1, p1, ..., qm, pm).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +164,9 @@ def squeeze_single(state: GaussianState, mode: int, r: float) -> GaussianState:
 def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
     """Two-mode squeezer on a pair of modes.
 
-    On thermal inputs this produces covariance blocks A I on the diagonal and
-    -C Z off-diagonal (Z = diag(1, -1)), with A = (2N+1)cosh(2r)/2 and
-    C = (2N+1)sinh(2r)/2, i.e. q1 - q2 and p1 + p2 are the squeezed pairs.
+    On a thermal product input this gives the standard form of _tmst_form,
+    blocks a I on the diagonal and -c Z off it (Z = diag(1, -1)), i.e.
+    q1 - q2 and p1 + p2 are the squeezed pairs.
     """
     Z = np.diag([1.0, -1.0])
     ch, sh = np.cosh(r), np.sinh(r)
@@ -178,20 +179,32 @@ def make_squeezed_thermal(r: float, N: float) -> GaussianState:
     return squeeze_single(make_thermal(N, 1), 0, r)
 
 
-def tmst_cov(r, N, N2=None) -> np.ndarray:
-    """Covariance (..., 4, 4) of the two-mode squeezed thermal state, blocks
-    d_i I on the diagonal and -x Z off it (see squeeze_two); broadcasts over
-    r, N and N2 (default N)."""
-    check_probe(r, N, N2)
-    nu1 = np.asarray(N, dtype=float) + 0.5
-    nu2 = nu1 if N2 is None else np.asarray(N2, dtype=float) + 0.5
+_TmstForm = namedtuple("_TmstForm", "a b c E n1 n2 nu1 nu2 p1 p2 ch2 sh2 t sech2")
+
+
+def _tmst_form(r, N, N2=None) -> _TmstForm:
+    """Standard form [[a I, -c Z], [-c Z, b I]] of the two-mode squeezed thermal
+    probe on checked inputs (broadcasts; N2 defaults to N), and the invariants its
+    callers use, in forms that do not cancel: nu_i = N_i + 1/2, p_i = N_i(N_i + 1),
+    cosh^2 r, sinh^2 r, t = tanh^2 r, sech^2 r and E = 2(a + b - 2c) = 2(nu1 + nu2)e^{-2r}."""
+    r, n1 = np.asarray(r, dtype=float)[()], np.asarray(N, dtype=float)[()]
+    n2 = n1 if N2 is None else np.asarray(N2, dtype=float)[()]  # scalars stay scalars
+    nu1, nu2 = n1 + 0.5, n2 + 0.5
     ch, sh = np.cosh(r), np.sinh(r)
-    d1 = ch * ch * nu1 + sh * sh * nu2
-    d2 = sh * sh * nu1 + ch * ch * nu2
-    x = ch * sh * (nu1 + nu2)
-    d1, d2, x = np.broadcast_arrays(d1, d2, x)
-    z = np.zeros_like(d1)
-    rows = [[d1, z, -x, z], [z, d1, z, x], [-x, z, d2, z], [z, x, z, d2]]
+    ch2, sh2 = ch * ch, sh * sh
+    return _TmstForm(ch2 * nu1 + sh2 * nu2, sh2 * nu1 + ch2 * nu2,
+                     ch * sh * (nu1 + nu2), 2.0 * (nu1 + nu2) * np.exp(-2.0 * r),
+                     n1, n2, nu1, nu2, n1 * (n1 + 1.0), n2 * (n2 + 1.0), ch2, sh2,
+                     np.tanh(r) ** 2, (1.0 / ch) ** 2)
+
+
+def tmst_cov(r, N, N2=None) -> np.ndarray:
+    """Covariance (..., 4, 4) of the two-mode squeezed thermal state, the
+    standard form of _tmst_form; broadcasts over r, N and N2 (default N)."""
+    check_probe(r, N, N2)
+    a, b, c = np.broadcast_arrays(*_tmst_form(r, N, N2)[:3])
+    z = np.zeros_like(a)
+    rows = [[a, z, -c, z], [z, a, z, c], [-c, z, b, z], [z, c, z, b]]
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 

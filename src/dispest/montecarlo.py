@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _scheme_variance_sum, scaling_factors
+from .bounds import _check_count, _scheme_variance_sum, scaling_factors
 from .gaussian import check_probe
 
 _CHUNK = 1 << 16
@@ -57,10 +57,7 @@ class EstimationConfig:
         if not all(np.isfinite(v) for v in values if v is not None):
             raise ValueError("numeric settings must be finite")
         for name, least in (("shots", 100), ("workers", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
-                raise ValueError(f"{name} must be an integer of at least {least}")
+            _check_count(name, getattr(self, name), least)
         if self.workers > self.shots:
             raise ValueError("workers must not exceed shots")
         fixed = self.q0 is not None or self.p0 is not None
@@ -131,39 +128,32 @@ def _resolve_k(cfg: EstimationConfig, var0: float) -> float:
     return factors.k_c if cfg.scaling == "coherent" else factors.k_min
 
 
-def _worker_shot_counts(shots: int, workers: int) -> list[int]:
-    base, extra = divmod(shots, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
 def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
-            sd: np.ndarray, gain: float, scan: bool, record: bool):
+            sd: np.ndarray, gain: float, scan: bool, kept, at: int):
     """Draw, estimate and accumulate one worker stream, _CHUNK shots at a time.
 
     Rows 0 and 1 are the q and p quadratures.  A chunk draws the prior's
     (q0, p0), if any, then the standard normals z of the outcomes
     o = θ/div + sd·z; estimates are gain·o.  One fused pass gives the errors
-    e = gain·o − θ = gain·sd·z + (gain/div − 1)·θ in place of z.  Returns the
-    sums (Σq̂, Σp̂, Σe_q², Σe_p², Σe_q⁴, Σe_p⁴, Σ(e_q² + e_p²)²), or
-    (Σe², Σe·θ, Σθ²) if scan, and the recorded chunks (copies, as the
-    buffers serve every chunk).
+    e = gain·sd·z + (gain/div − 1)·θ = gain·o − θ.  Returns the sums
+    (Σq̂, Σp̂, Σe_q², Σe_p², Σe_q⁴, Σe_p⁴, Σ(e_q² + e_p²)²), or
+    (Σe², Σe·θ, Σθ²) if scan.  A chunk works in the buffers (θ, z, scratch), z
+    turning into e, or, recorded, in kept[:, :, at:] (θ, o, gain·o; e in gain·o).
     """
-    sums, chunks = np.zeros(3 if scan else 7), []
+    sums = np.zeros(3 if scan else 7)
     fixed = np.array([[cfg.q0], [cfg.p0]]) if cfg.prior_delta is None else None
     scale, lift = gain * sd, gain / div - 1.0
-    for done in range(0, shots, _CHUNK):
-        n = min(_CHUNK, shots - done)
-        theta, err, sq = (b[:2 * n].reshape(2, n) for b in buffers)
+    for done in range(at, at + shots, _CHUNK):  # shot positions in kept
+        n = min(_CHUNK, at + shots - done)
+        *work, sq = (b[:2 * n].reshape(2, n) for b in buffers)
+        theta, z, err = (*work, work[1]) if kept is None else kept[:, :, done:done + n]
+        for row in (*theta, *z) if fixed is None else z:  # same draws as one per block
+            rng.standard_normal(out=row)
         if fixed is None:
-            rng.standard_normal(out=theta)
             theta *= cfg.prior_delta
-        else:
+        else:  # recorded θ rows were filled in _sample
             theta = fixed
-        rng.standard_normal(out=err)
-        if record:
-            out = err * sd + theta / div
-            chunks.append((np.broadcast_to(theta, (2, n)).copy(), out, gain * out))
-        err *= scale
+        np.multiply(z, scale, out=err)
         if lift:
             err += np.multiply(theta, lift, out=sq) if fixed is None else lift * fixed
         if scan:  # the K scan always has a prior
@@ -176,7 +166,10 @@ def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
         sums[2:4] += sq.sum(axis=1)
         fourth = np.einsum("ij,ij->i", sq, sq)
         sums[4:] += (*fourth, fourth.sum() + 2.0 * np.einsum("i,i->", sq[0], sq[1]))
-    return sums, chunks
+        if kept is not None:
+            np.add(np.multiply(z, sd, out=z), np.divide(theta, div, out=sq), out=z)
+            np.multiply(z, gain, out=err)
+    return sums
 
 
 def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
@@ -189,18 +182,22 @@ def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
     per-thread malloc arenas and raise the peak RSS.  No BLAS call is made,
     as BLAS threads would compete with the pool for the cores.
     """
-    counts = _worker_shot_counts(cfg.shots, cfg.workers)
+    base, extra = divmod(cfg.shots, cfg.workers)
+    counts = [base + (w < extra) for w in range(cfg.workers)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     threads = min(cfg.workers, cores) if counts[-1] >= _CHUNK else 1
-    lanes = [[np.empty(2 * min(_CHUNK, counts[0])) for _ in range(3)]
+    kept = np.empty((3, 2, cfg.shots)) if record else None
+    if record and cfg.prior_delta is None:
+        kept[0] = [[cfg.q0], [cfg.p0]]
+    lanes = [[np.empty(2 * min(_CHUNK, counts[0])) for _ in range(1 if record else 3)]
              for _ in range(threads)]
     sd = np.reshape(sd, (2, 1))
 
     def lane(i):
-        return [_stream(cfg, np.random.Generator(np.random.SFC64(seeds[w])),
-                        counts[w], lanes[i], div, sd, gain, scan, record)
+        return [_stream(cfg, np.random.Generator(np.random.SFC64(seeds[w])), counts[w],
+                        lanes[i], div, sd, gain, scan, kept, w * base + min(w, extra))
                 for w in range(i, cfg.workers, threads)]
 
     if threads == 1:
@@ -208,13 +205,8 @@ def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
     else:
         with ThreadPoolExecutor(threads) as pool:
             by_lane = list(pool.map(lane, range(threads)))
-    streams = [by_lane[w % threads][w // threads] for w in range(cfg.workers)]
-    totals = sum(sums for sums, _ in streams)
-    if not record:
-        return totals, None
-    theta, out, est = (np.concatenate([c[j] for _, chunks in streams for c in chunks],
-                                      axis=1) for j in range(3))
-    return totals, dict(zip(_PER_SHOT, (*theta, *out, *est)))
+    totals = sum(by_lane[w % threads][w // threads] for w in range(cfg.workers))
+    return totals, None if kept is None else dict(zip(_PER_SHOT, kept.reshape(6, -1)))
 
 
 def _simulate(cfg: EstimationConfig, var: float, m: float,

@@ -253,6 +253,12 @@ def test_query_validation():
                                                 field: bad})
         with pytest.raises(ValueError):
             BoundQuery(kind="tmst", weight=np.array([[1.0, 0.0], [0.0, bad]]))
+    # shots follows EstimationConfig: an integer of at least 1, bool excluded
+    for bad in (float("inf"), 2.5, 1.0, True, 0, -3, np.int64(0), "2", None):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            BoundQuery(kind="tmst", r=1.0, N=1.0, shots=bad)
+    for good in (1, 7, np.int64(3), np.uint8(2)):
+        assert BoundQuery(kind="tmst", r=1.0, N=1.0, shots=good).shots == good
 
 
 @pytest.mark.parametrize("r", [1e-160, 6.86e-159])

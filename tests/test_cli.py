@@ -206,10 +206,9 @@ def test_bounds_at_the_edge_of_the_float_range(capsys, args):
 @pytest.mark.parametrize("args", [
     ["sweep", "--quantity", "b_mi", "--probe", "single", "--N", "0.5"],
     ["sweep", "--quantity", "gap", "--N", "0.5"],
-    ["sweep", "--quantity", "duan_lhs", "--N", "0.5"],
     ["figure", "fig2"],
     ["figure", "fig3"],
-], ids=["sweep-b_mi", "sweep-gap", "sweep-duan_lhs", "fig2", "fig3"])
+], ids=["sweep-b_mi", "sweep-gap", "fig2", "fig3"])
 def test_curves_past_the_float_range_exit_3(capsys, tmp_path, args):
     """A grid that leaves the floating-point range exits 3 with one line, no
     warning and no output, as bounds does."""
@@ -222,6 +221,35 @@ def test_curves_past_the_float_range_exit_3(capsys, tmp_path, args):
     assert err == ("numerical failure: values at r in [300, 400] are outside "
                    "the floating-point range\n")
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("N, r_min, r_max, steps", [(1.0, 0.0, 12.0, 25),
+                                                     (1.0, 8.0, 12.0, 5),
+                                                     (0.5, 300.0, 400.0, 3)],
+                         ids=["r0-12", "r8-12", "r300-400"])
+def test_duan_sweep_is_the_scheme_variance(capsys, N, r_min, r_max, steps):
+    """At a = 1 the Duan sum of the two-mode squeezed thermal probe is the
+    double-homodyne sum E = 2(2N + 1)e^{-2r}: the two sweeps print the same
+    rows, exact at every r (no cancellation at large r), and exit 0 where E
+    underflows (r = 400) as well."""
+    grid = ["--N", str(N), "--r-min", str(r_min), "--r-max", str(r_max),
+            "--steps", str(steps)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, duan, _ = run_cli(capsys, ["sweep", "--quantity", "duan_lhs", *grid])
+        assert code == 0
+        code, scheme, _ = run_cli(capsys, ["sweep", "--quantity", "scheme_variance",
+                                           *grid])
+        assert code == 0
+    rows = duan.splitlines()[4:]
+    assert rows == scheme.splitlines()[4:] and len(rows) == steps
+    values = np.array([[float(x) for x in line.split(",")] for line in rows])
+    with mpmath.workdps(30):
+        exact = [float(2 * (2 * N + 1) * mpmath.exp(-2 * mpmath.mpf(r)))
+                 for r in values[:, 0]]
+    assert values[:, 1] == pytest.approx(exact, rel=1e-14, abs=0.0)
+    if r_max < 300:
+        assert np.all(values[:, 1] > 0)
 
 
 def test_sweep_near_the_edge_of_the_float_range(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispest import (BoundQuery, EstimationConfig, GaussianState,
                      SymplecticTransform, asym_n2_threshold, beamsplit_balanced,
@@ -8,7 +9,9 @@ from dispest import (BoundQuery, EstimationConfig, GaussianState,
                      phase_rotate, probe_fisher, scheme_variance_sum,
                      squeeze_single, squeeze_two, symplectic_form, thresholds,
                      vacuum)
-from dispest.gaussian import tmst_cov
+from dispest.fock import _analytic_tail
+from dispest.gaussian import _tmst_form, tmst_cov
+from dispest.witness import scheme_variance_propagated
 
 
 def test_vacuum_covariance():
@@ -232,3 +235,35 @@ def test_purity_and_symplectic_eigenvalues():
     th = make_thermal(1.0, 1)
     assert np.allclose(th.symplectic_eigenvalues(), 1.5)
     assert np.isclose(th.purity, 1.0 / 3.0)
+
+
+_PHOTONS = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 3.0), n1=_PHOTONS, n2=_PHOTONS)
+def test_standard_form_core(r, n1, n2):
+    """The core's (a, b, c) match the symplectic route, squeeze_two on the
+    thermal product; ab - c^2 = nu1 nu2; E matches the covariance propagated
+    through the beam splitter; the Fock tail's n is the largest reduced
+    variance minus 1/2.  The last three are differences of terms of size
+    a + b, so they are compared at that scale."""
+    f = _tmst_form(r, n1, n2)
+    nu1, nu2 = n1 + 0.5, n2 + 0.5
+    thermal = GaussianState(np.zeros(4), np.diag([nu1, nu1, nu2, nu2]))
+    cov = squeeze_two(thermal, (0, 1), r).cov
+    # abs: at subnormal r the matrix route rounds c ~ r (nu1 + nu2) to zero
+    assert [f.a, f.b, f.c] == pytest.approx([cov[0, 0], cov[2, 2], -cov[0, 2]],
+                                            rel=1e-12, abs=1e-300)
+    assert (f.nu1, f.nu2, f.p1, f.p2) == (nu1, nu2, n1 * (n1 + 1.0), n2 * (n2 + 1.0))
+    assert _tmst_form(r, n1) == _tmst_form(r, n1, n1)  # N2 defaults to N
+    scale = f.a + f.b
+    assert abs(f.a * f.b - f.c * f.c - nu1 * nu2) <= 1e-14 * scale * scale
+    if r <= 2.0:
+        propagated = scheme_variance_propagated(make_tmst(r, n1, n2))
+        assert abs(f.E - propagated) <= 1e-14 * scale
+        assert f.E == pytest.approx(2.0 * (f.a + f.b - 2.0 * f.c), rel=0.0,
+                                    abs=1e-14 * scale)
+    n_tail, modes = _analytic_tail("tmst_asym", r, n1, n2)
+    assert modes == 2
+    assert abs(n_tail - (max(cov[0, 0], cov[2, 2]) - 0.5)) <= 1e-14 * scale

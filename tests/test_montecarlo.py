@@ -259,6 +259,25 @@ def test_sampling_memory_is_bounded(monkeypatch, workers):
         assert peak <= bound, (peak, bound)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_recorded_run_holds_each_shot_once(monkeypatch, workers):
+    """A recorded run writes each chunk straight into its slice of the kept
+    per-shot arrays, with one scratch buffer per thread: the traced peak
+    stays within 1.25 times the arrays kept."""
+    set_cores(monkeypatch, workers)
+    run_scheme(scheme_cfg(shots=100))  # lazy numpy.random imports, untraced
+    cfg = scheme_cfg(shots=500_000, workers=workers, q0=None, p0=None, prior_delta=2.0)
+    tracemalloc.start()
+    try:
+        per_shot = run_scheme(cfg, record_shots=True).per_shot
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(values.nbytes for values in per_shot.values())
+    assert kept == 6 * 8 * cfg.shots
+    assert peak <= 1.25 * kept, (peak, kept)
+
+
 def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
                     div=SQRT2):
     """The stream contract, drawn with Generator.normal: per worker stream and
