@@ -22,7 +22,7 @@ from .bounds import (BoundQuery, RLDUnavailableError, bound_most_informative,
                      check_in_range, evaluate_bounds, gap_D, probe_fisher,
                      scaling_factors, scheme_variance_sum)
 from .fock import PureStateError, TruncationError
-from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme
+from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
 
@@ -169,22 +169,14 @@ def cmd_simulate(args) -> int:
         "baseline": args.baseline, "r": cfg.r, "N": cfg.N, "N2": cfg.N2,
         "shots": cfg.shots, "seed": cfg.seed, "q0": cfg.q0, "p0": cfg.p0,
         "prior_delta": cfg.prior_delta, "scaling": args.scaling,
-        "jitter": list(cfg.jitter) if cfg.jitter else None,
-        "workers": cfg.workers,
+        "jitter": list(cfg.jitter) if cfg.jitter else None, "workers": thread_count(cfg),
     }
-    results = {
-        "k_used": result.k_used,
-        "mean_q": result.mean_q, "mean_p": result.mean_p,
-        "bias_q": result.bias_q, "bias_p": result.bias_p,
-        "mse_q": result.mse_q, "mse_p": result.mse_p,
-        "mse_sum": result.mse_sum,
-        "se_mse_q": result.se_mse_q, "se_mse_p": result.se_mse_p,
-        "se_mse_sum": result.se_mse_sum,
-        "target_mse_sum": result.target_mse_sum,
-        "z_vs_target": (result.mse_sum - result.target_mse_sum) / result.se_mse_sum
-        if result.se_mse_sum > 0 else 0.0,
-        "bound_mi": bound,
-    }
+    results = {key: getattr(result, key) for key in (
+        "k_used", "mean_q", "mean_p", "bias_q", "bias_p", "mse_q", "mse_p", "mse_sum",
+        "se_mse_q", "se_mse_p", "se_mse_sum", "target_mse_sum")}
+    results["z_vs_target"] = ((result.mse_sum - result.target_mse_sum) / result.se_mse_sum
+                              if result.se_mse_sum > 0 else 0.0)
+    results["bound_mi"] = bound
     if args.dump_shots:
         shots = result.per_shot
         rows = zip(range(result.shots), shots["q0"], shots["p0"],
@@ -325,7 +317,7 @@ def build_parser() -> _Parser:  # built once per process; parsing keeps no state
     ps.add_argument("--scaling", type=str, default="none",
                     help="none | coherent | optimal | K=<value>")
     ps.add_argument("--jitter", type=str, default=None, help="dq2,dp2")
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--workers", type=int, default=None, help="thread cap (default: none)")
     ps.add_argument("--dump-shots", type=str, default=None,
                     help="write per-shot CSV to this path")
     ps.set_defaults(func=cmd_simulate)
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PureStateError, RLDUnavailableError, TruncationError,
-            np.linalg.LinAlgError, ValueError) as exc:
+            np.linalg.LinAlgError, OverflowError, ValueError) as exc:
         # input is validated before the library runs, so a ValueError from
         # inside it (an unphysical covariance, say) is a numerical fault
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -2,13 +2,13 @@
 
 All states and measurements are Gaussian, so each shot draws homodyne or
 heterodyne outcomes from their exact Gaussian marginals, with any Gaussian
-displacement jitter folded into the outcome variance.  The worker substreams
-are SFC64 generators seeded by SeedSequence.spawn of the master seed.
-Spawning gives independent streams with any bit generator, so a
-counter-based one (Philox) buys nothing, and SFC64 draws normals 1.4-1.6x
-faster.  Shots are partitioned across workers, the streams run in a thread
-pool of at most one thread per core, and per-worker sums merge in stream
-order, so results are bit-reproducible for a fixed (seed, workers).
+displacement jitter folded into the outcome variance.  The shots are split
+into chunks of _CHUNK, and chunk c draws from its own SFC64 substream, seeded
+by SeedSequence(seed).spawn(chunks)[c].  Spawning gives independent streams
+with any bit generator, so a counter-based one (Philox) buys nothing, and
+SFC64 draws normals 1.4-1.6x faster.  The chunks run on a pool of at most one
+thread per core and their sums are added in chunk order, so results are
+bit-reproducible for a fixed seed, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import _check_count, _scheme_variance_sum, scaling_factors
 from .gaussian import check_probe
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 _SQRT2 = np.sqrt(2.0)
 _PER_SHOT = ("q0", "p0", "outcome_q", "outcome_p", "estimate_q", "estimate_p")
 
@@ -48,7 +48,7 @@ class EstimationConfig:
     scaling: str = "none"
     K: float | None = None
     jitter: tuple[float, float] | None = None
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         check_probe(self.r, self.N, self.N2)
@@ -57,8 +57,9 @@ class EstimationConfig:
         if not all(np.isfinite(v) for v in values if v is not None):
             raise ValueError("numeric settings must be finite")
         for name, least in (("shots", 100), ("workers", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), least)
-        if self.workers > self.shots:
+            if name != "workers" or self.workers is not None:
+                _check_count(name, getattr(self, name), least)
+        if self.workers is not None and self.workers > self.shots:
             raise ValueError("workers must not exceed shots")
         fixed = self.q0 is not None or self.p0 is not None
         if fixed and (self.q0 is None or self.p0 is None):
@@ -119,94 +120,86 @@ def _quadrature_variance(cfg: EstimationConfig) -> float:
     return _scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
 
 
-def _resolve_k(cfg: EstimationConfig, var0: float) -> float:
-    if cfg.scaling == "none":
-        return 1.0
-    if cfg.scaling == "explicit":
-        return float(cfg.K)
-    factors = scaling_factors(var0, cfg.prior_delta)
-    return factors.k_c if cfg.scaling == "coherent" else factors.k_min
+def _stream(cfg: EstimationConfig, c: int, buffers, div: float, sd: np.ndarray,
+            gain: float, scan: bool, kept, sums: np.ndarray):
+    """Draw, estimate and accumulate chunk c on its own SFC64 substream.
 
-
-def _stream(cfg: EstimationConfig, rng, shots: int, buffers, div: float,
-            sd: np.ndarray, gain: float, scan: bool, kept, at: int):
-    """Draw, estimate and accumulate one worker stream, _CHUNK shots at a time.
-
-    Rows 0 and 1 are the q and p quadratures.  A chunk draws the prior's
+    Rows 0 and 1 are the q and p quadratures.  The chunk draws the prior's
     (q0, p0), if any, then the standard normals z of the outcomes
     o = θ/div + sd·z; estimates are gain·o.  One fused pass gives the errors
-    e = gain·sd·z + (gain/div − 1)·θ = gain·o − θ.  Returns the sums
+    e = gain·sd·z + (gain/div − 1)·θ = gain·o − θ.  Writes the sums
     (Σq̂, Σp̂, Σe_q², Σe_p², Σe_q⁴, Σe_p⁴, Σ(e_q² + e_p²)²), or
-    (Σe², Σe·θ, Σθ²) if scan.  A chunk works in the buffers (θ, z, scratch), z
-    turning into e, or, recorded, in kept[:, :, at:] (θ, o, gain·o; e in gain·o).
+    (Σe², Σe·θ, Σθ²) if scan, into sums.  The chunk works in the buffers
+    (θ, z, scratch), z turning into e, or, recorded, in its shots of kept
+    (θ, o, gain·o; e in gain·o).
     """
-    sums = np.zeros(3 if scan else 7)
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(cfg.seed, spawn_key=(c,))))
+    at, n = c * _CHUNK, min(_CHUNK, cfg.shots - c * _CHUNK)
     fixed = np.array([[cfg.q0], [cfg.p0]]) if cfg.prior_delta is None else None
     scale, lift = gain * sd, gain / div - 1.0
-    for done in range(at, at + shots, _CHUNK):  # shot positions in kept
-        n = min(_CHUNK, at + shots - done)
-        *work, sq = (b[:2 * n].reshape(2, n) for b in buffers)
-        theta, z, err = (*work, work[1]) if kept is None else kept[:, :, done:done + n]
-        for row in (*theta, *z) if fixed is None else z:  # same draws as one per block
-            rng.standard_normal(out=row)
-        if fixed is None:
-            theta *= cfg.prior_delta
-        else:  # recorded θ rows were filled in _sample
-            theta = fixed
-        np.multiply(z, scale, out=err)
-        if lift:
-            err += np.multiply(theta, lift, out=sq) if fixed is None else lift * fixed
-        if scan:  # the K scan always has a prior
-            sums += (np.einsum("ij,ij->", err, err), np.einsum("ij,ij->", err, theta),
-                     np.einsum("ij,ij->", theta, theta))
-            continue
-        sums[0:2] += err.sum(axis=1) + (theta.sum(axis=1) if fixed is None
-                                        else n * fixed[:, 0])
-        np.multiply(err, err, out=sq)
-        sums[2:4] += sq.sum(axis=1)
-        fourth = np.einsum("ij,ij->i", sq, sq)
-        sums[4:] += (*fourth, fourth.sum() + 2.0 * np.einsum("i,i->", sq[0], sq[1]))
-        if kept is not None:
-            np.add(np.multiply(z, sd, out=z), np.divide(theta, div, out=sq), out=z)
-            np.multiply(z, gain, out=err)
-    return sums
+    *work, sq = (b[:2 * n].reshape(2, n) for b in buffers)
+    theta, z, err = (*work, work[1]) if kept is None else kept[:, :, at:at + n]
+    for row in (*theta, *z) if fixed is None else z:  # same draws as one per block
+        rng.standard_normal(out=row)
+    if fixed is None:
+        theta *= cfg.prior_delta
+    else:  # recorded θ rows were filled in _sample
+        theta = fixed
+    np.multiply(z, scale, out=err)
+    if lift:
+        err += np.multiply(theta, lift, out=sq) if fixed is None else lift * fixed
+    if scan:  # the K scan always has a prior
+        sums[:] = (np.einsum("ij,ij->", err, err), np.einsum("ij,ij->", err, theta),
+                   np.einsum("ij,ij->", theta, theta))
+        return
+    sums[0:2] = err.sum(axis=1) + (theta.sum(axis=1) if fixed is None
+                                   else n * fixed[:, 0])
+    np.multiply(err, err, out=sq)
+    sums[2:4] = sq.sum(axis=1)
+    fourth = np.einsum("ij,ij->i", sq, sq)
+    sums[4:] = (*fourth, fourth.sum() + 2.0 * np.einsum("i,i->", sq[0], sq[1]))
+    if kept is not None:
+        np.add(np.multiply(z, sd, out=z), np.divide(theta, div, out=sq), out=z)
+        np.multiply(z, gain, out=err)
+
+
+def thread_count(cfg: EstimationConfig) -> int:
+    """Threads of a run: one per chunk and per core, at most cfg.workers."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(cfg.workers or cores, cores, -(-cfg.shots // _CHUNK))
 
 
 def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
             scan: bool = False, record: bool = False):
-    """Run the worker streams of cfg and merge their sums in stream order.
+    """Run the chunks of cfg and add their sums in chunk order.
 
-    Streams of at least one chunk run on min(workers, cores) threads, thread
-    i taking streams i, i + threads, ...; shorter ones run in the caller.
-    Buffers are allocated here: the pool's threads would take them from
-    per-thread malloc arenas and raise the peak RSS.  No BLAS call is made,
-    as BLAS threads would compete with the pool for the cores.
+    Thread i of thread_count(cfg) takes chunks i, i + threads, ...; one thread
+    runs in the caller.  Buffers are allocated here, as pool threads would take
+    them from per-thread malloc arenas and raise the peak RSS.  No BLAS call
+    is made: BLAS threads would compete with the pool for the cores.
     """
-    base, extra = divmod(cfg.shots, cfg.workers)
-    counts = [base + (w < extra) for w in range(cfg.workers)]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    threads = min(cfg.workers, cores) if counts[-1] >= _CHUNK else 1
+    chunks, threads = -(-cfg.shots // _CHUNK), thread_count(cfg)
+    sums = np.zeros((chunks, 3 if scan else 7))
     kept = np.empty((3, 2, cfg.shots)) if record else None
     if record and cfg.prior_delta is None:
         kept[0] = [[cfg.q0], [cfg.p0]]
-    lanes = [[np.empty(2 * min(_CHUNK, counts[0])) for _ in range(1 if record else 3)]
+    lanes = [[np.empty(2 * min(_CHUNK, cfg.shots)) for _ in range(1 if record else 3)]
              for _ in range(threads)]
     sd = np.reshape(sd, (2, 1))
 
     def lane(i):
-        return [_stream(cfg, np.random.Generator(np.random.SFC64(seeds[w])), counts[w],
-                        lanes[i], div, sd, gain, scan, kept, w * base + min(w, extra))
-                for w in range(i, cfg.workers, threads)]
+        for c in range(i, chunks, threads):
+            _stream(cfg, c, lanes[i], div, sd, gain, scan, kept, sums[c])
 
     if threads == 1:
-        by_lane = [lane(0)]
+        lane(0)
     else:
         with ThreadPoolExecutor(threads) as pool:
-            by_lane = list(pool.map(lane, range(threads)))
-    totals = sum(by_lane[w % threads][w // threads] for w in range(cfg.workers))
-    return totals, None if kept is None else dict(zip(_PER_SHOT, kept.reshape(6, -1)))
+            list(pool.map(lane, range(threads)))
+    return sums.sum(axis=0), (None if kept is None
+                              else dict(zip(_PER_SHOT, kept.reshape(6, -1))))
 
 
 def _simulate(cfg: EstimationConfig, var: float, m: float,
@@ -219,7 +212,17 @@ def _simulate(cfg: EstimationConfig, var: float, m: float,
     """
     jq, jp = cfg.jitter or (0.0, 0.0)
     var_est_q, var_est_p = m * var + jq, m * var + jp
-    k = _resolve_k(cfg, var0=0.5 * (var_est_q + var_est_p))
+    k = float(cfg.K) if cfg.scaling == "explicit" else 1.0
+    # out-of-range values raise below; x ** 2 of a Python float would raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.scaling in ("coherent", "optimal"):
+            factors = scaling_factors(0.5 * (var_est_q + var_est_p), cfg.prior_delta)
+            k = factors.k_c if cfg.scaling == "coherent" else factors.k_min
+        target = k * k * (var_est_q + var_est_p) + (k - 1.0) * (k - 1.0) * (
+            2.0 * cfg.prior_delta * cfg.prior_delta if cfg.prior_delta is not None
+            else cfg.q0 * cfg.q0 + cfg.p0 * cfg.p0)
+    if not np.isfinite(target):  # also where a variance is not finite
+        raise ValueError("the target MSE is outside the floating-point range")
     div = np.sqrt(m)
     totals, per_shot = _sample(cfg, div, np.sqrt([var + jq / m, var + jp / m]),
                                div * k, record=record_shots)
@@ -227,9 +230,6 @@ def _simulate(cfg: EstimationConfig, var: float, m: float,
     mean_q, mean_p, mse_q, mse_p, *fourth = totals / M
     mse = np.array([mse_q, mse_p, mse_q + mse_p])
     se_q, se_p, se_sum = np.sqrt(np.maximum(np.array(fourth) - mse * mse, 0.0) / M)
-    target = k * k * (var_est_q + var_est_p) + (k - 1.0) ** 2 * (
-        2.0 * cfg.prior_delta ** 2 if cfg.prior_delta is not None
-        else cfg.q0 ** 2 + cfg.p0 ** 2)
     return EstimationResult(
         config=cfg, k_used=k, shots=M,
         mean_q=float(mean_q), mean_p=float(mean_p),
@@ -275,7 +275,7 @@ class KMinScan:
 
 def empirical_K_min(r: float, N: float, delta: float, shots: int,
                     k_grid, seed: int = 0, N2: float | None = None,
-                    workers: int = 1) -> KMinScan:
+                    workers: int | None = None) -> KMinScan:
     """Scan the estimator scaling K on common random draws of the scheme.
 
     The outcomes do not depend on K, so one set of draws serves the whole

@@ -35,6 +35,13 @@ def _require_two_modes(state: GaussianState):
         raise ValueError("Duan criterion applies to two-mode states")
 
 
+def _resolved(total: float, cov: np.ndarray) -> float:
+    """total if over 1e6 roundings of the largest entry of cov (~5 digits kept)."""
+    if not total > 1e6 * np.finfo(float).eps * np.abs(cov).max():
+        raise ValueError(f"variance sum {total:.3g} cancels in the covariance entries")
+    return total
+
+
 def _is_symmetric(state: GaussianState) -> bool:
     c = state.cov
     iso1 = abs(c[0, 0] - c[1, 1]) < _SYM_TOL
@@ -55,9 +62,10 @@ def duan_lhs(cov, a: float = 1.0):
 
 
 def duan_check(state: GaussianState, a: float = 1.0) -> DuanResult:
-    """Evaluate the EPR variance sum against the separability floor a^2 + 1/a^2."""
+    """Evaluate the EPR variance sum against the separability floor a^2 + 1/a^2.
+    ValueError where the sum cancels in the entries (r ≳ 6 for make_tmst)."""
     _require_two_modes(state)
-    lhs = float(duan_lhs(state.cov, a))
+    lhs = _resolved(float(duan_lhs(state.cov, a)), state.cov)
     rhs = float(a * a + 1.0 / (a * a))
     return DuanResult(a=float(a), lhs=lhs, rhs=rhs,
                       entangled_sufficient=bool(lhs < rhs - _STRICT_TOL),
@@ -88,11 +96,11 @@ def scheme_variance_propagated(state: GaussianState) -> float:
 
     Propagates the covariance through the balanced beam splitter and reads the
     homodyne variances actually measured (p on output 0, q on output 1), each
-    scaled by the sqrt(2) estimator factor.
+    scaled by the sqrt(2) estimator factor; ValueError where it cancels.
     """
     _require_two_modes(state)
     out = beamsplit_balanced(state, (0, 1))
-    return float(2.0 * (out.cov[1, 1] + out.cov[2, 2]))
+    return _resolved(float(2.0 * (out.cov[1, 1] + out.cov[2, 2])), state.cov)
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,41 @@ def test_simulate_json_and_reproducibility(capsys):
     assert rec2["results"]["mean_q"] == rec["results"]["mean_q"]
 
 
+def test_simulate_results_independent_of_workers(capsys):
+    """--workers caps the threads only: the printed results are equal, and
+    the config records the thread count used."""
+    args = ["simulate", "--r", "0.6", "--N", "0.3", "--shots", "200000", "--seed", "5",
+            "--prior-delta", "1.5", "--scaling", "optimal"]
+    records = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, [*args, "--workers", workers])
+        assert code == 0
+        records.append(load_record(out))
+        assert records[-1]["config"]["workers"] == int(workers)
+    assert records[0]["results"] == records[1]["results"]
+    code, out, _ = run_cli(capsys, args)
+    assert code == 0 and load_record(out)["results"] == records[0]["results"]
+    assert type(load_record(out)["config"]["workers"]) is int
+
+
+@pytest.mark.parametrize("args", [
+    ["--r", "1", "--N", "0", "--q0", "1e200", "--p0", "0"],
+    ["--baseline", "--prior-delta", "1e300", "--scaling", "coherent"],
+    ["--r", "1", "--N", "0", "--prior-delta", "1e150", "--scaling", "optimal"],
+], ids=["q0-1e200", "baseline-delta-1e300", "delta-1e150"])
+def test_simulate_target_past_the_float_range_exits_3(capsys, args):
+    """One stderr line and exit 3, no traceback; at delta = 1e150 the scaling
+    factors overflow (a Python float OverflowError) before the target does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["simulate", "--shots", "1000", *args])
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    if "1e150" not in args:
+        assert err == ("numerical failure: the target MSE is outside the "
+                       "floating-point range\n")
+
+
 @pytest.mark.parametrize("r", [8.0, 15.0])
 def test_simulate_large_squeezing(capsys, r):
     code, out, _ = run_cli(capsys, ["simulate", "--r", str(r), "--N", "1",
@@ -365,7 +400,7 @@ def test_simulate_dump_shots(capsys, tmp_path):
         ",".join(format(float(x), ".17g") for x in row)
         for row in zip(range(500), *columns)]
 
-    # several chunks on two worker streams: every dumped chunk is its own
+    # several chunks on two threads: every dumped chunk is its own
     code, out, _ = run_cli(capsys, ["simulate", "--r", "0.5", "--N", "0.2",
                                     "--shots", "150000", "--seed", "2",
                                     "--workers", "2", "--prior-delta", "1.0",

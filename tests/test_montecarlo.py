@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_per_shot_recording():
     recomputed = np.mean((res.per_shot["estimate_q"] - res.per_shot["q0"]) ** 2)
     assert np.isclose(recomputed, res.mse_q)
 
-    # two streams of two chunks each: the sampling buffers are reused, so a
+    # five chunks on two threads: the sampling buffers are reused, so a
     # recorded chunk that aliased them would repeat the last chunk's draws
     res = run_scheme(scheme_cfg(shots=150_000, workers=2), record_shots=True)
     shots = res.per_shot
@@ -278,25 +279,22 @@ def test_recorded_run_holds_each_shot_once(monkeypatch, workers):
     assert peak <= 1.25 * kept, (peak, kept)
 
 
-def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
-                    div=SQRT2):
-    """The stream contract, drawn with Generator.normal: per worker stream and
-    per chunk of _CHUNK shots, draw (q0, p0) from the prior if there is one,
-    then out_q and out_p, each a block of the chunk's size."""
-    children = np.random.SeedSequence(seed).spawn(workers)
+def reference_draws(seed, shots, sd, q0=None, p0=None, delta=None, div=SQRT2):
+    """The stream contract, drawn with Generator.normal: chunk c of _CHUNK
+    shots draws from the SFC64 substream SeedSequence(seed).spawn(chunks)[c],
+    first (q0, p0) from the prior if there is one, then out_q and out_p, each a
+    block of the chunk's size."""
+    chunks = np.random.SeedSequence(seed).spawn(-(-shots // _CHUNK))
     theta, outcomes = [], []
-    base, extra = divmod(shots, workers)
-    for w in range(workers):
-        rng = np.random.Generator(np.random.SFC64(children[w]))
-        n_w = base + (w < extra)
-        for done in range(0, n_w, _CHUNK):
-            n = min(_CHUNK, n_w - done)
-            if delta is not None:
-                tq, tp = rng.normal(0.0, delta, n), rng.normal(0.0, delta, n)
-            else:
-                tq, tp = np.full(n, q0), np.full(n, p0)
-            theta.append((tq, tp))
-            outcomes.append((rng.normal(tq / div, sd), rng.normal(tp / div, sd)))
+    for c, child in enumerate(chunks):
+        rng = np.random.Generator(np.random.SFC64(child))
+        n = min(_CHUNK, shots - c * _CHUNK)
+        if delta is not None:
+            tq, tp = rng.normal(0.0, delta, n), rng.normal(0.0, delta, n)
+        else:
+            tq, tp = np.full(n, q0), np.full(n, p0)
+        theta.append((tq, tp))
+        outcomes.append((rng.normal(tq / div, sd), rng.normal(tp / div, sd)))
     return np.concatenate(theta, axis=1), np.concatenate(outcomes, axis=1)
 
 
@@ -307,13 +305,13 @@ def reference_draws(seed, workers, shots, sd, q0=None, p0=None, delta=None,
 ])
 def test_stream_contract(baseline, kw):
     """Without jitter every recorded draw equals Generator.normal on the
-    worker's SFC64 substream, in the order (q0, p0, out_q, out_p) per chunk."""
+    chunk's SFC64 substream, in the order (q0, p0, out_q, out_p) per chunk."""
     cfg = EstimationConfig(shots=150_001, seed=13, workers=2, **kw)
     runner = run_baseline_heterodyne if baseline else run_scheme
     res = runner(cfg, record_shots=True)
     sd = 1.0 if baseline else np.sqrt(scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4)
     theta, outcomes = reference_draws(
-        cfg.seed, cfg.workers, cfg.shots, sd, q0=cfg.q0, p0=cfg.p0,
+        cfg.seed, cfg.shots, sd, q0=cfg.q0, p0=cfg.p0,
         delta=cfg.prior_delta, div=1.0 if baseline else SQRT2)
     gain = res.k_used if baseline else SQRT2 * res.k_used
     shots = res.per_shot
@@ -333,7 +331,7 @@ def test_k_scan_exact():
     for delta in (3.0, 1e3):
         scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed, workers=2)
         sd = np.sqrt(scheme_variance_sum(r, N) / 4)
-        (tq, tp), (oq, op) = reference_draws(seed, 2, shots, sd, delta=delta)
+        (tq, tp), (oq, op) = reference_draws(seed, shots, sd, delta=delta)
         explicit = np.array([(((SQRT2 * k * oq - tq) ** 2).sum()
                                + ((SQRT2 * k * op - tp) ** 2).sum()) / shots
                               for k in k_grid])
@@ -365,8 +363,8 @@ def test_thread_count_follows_cpu_affinity(monkeypatch):
 
 
 def test_threaded_streams_match_serial(monkeypatch):
-    """The pool has at most one thread per core, and merging in stream order
-    makes the threaded run bit-identical to running the streams serially."""
+    """The pool has at most one thread per core, and adding the chunk sums in
+    chunk order makes the threaded run bit-identical to the serial one."""
     pools = []
 
     class Spy(montecarlo.ThreadPoolExecutor):
@@ -392,6 +390,55 @@ def test_threaded_streams_match_serial(monkeypatch):
     assert (threaded.mse_sum, threaded.se_mse_sum, threaded.mean_q) == (
         serial.mse_sum, serial.se_mse_sum, serial.mean_q)
     assert np.array_equal(kmin_threaded.mse, kmin_serial.mse)
+
+
+def test_results_independent_of_threads(monkeypatch):
+    """Each chunk draws from its own substream and the chunk sums are added in
+    chunk order, so a seeded run is bit-identical for every thread cap and
+    core count."""
+    shots = 3 * _CHUNK + 7
+    fixed = scheme_cfg(shots=shots)
+    prior = scheme_cfg(shots=shots, q0=None, p0=None, prior_delta=1.5,
+                       scaling="optimal", jitter=(0.05, 0.02))
+    baseline = EstimationConfig(shots=shots, seed=5, prior_delta=2.0, scaling="coherent")
+
+    def outputs(workers):
+        runs = [run_scheme(replace(fixed, workers=workers)),
+                run_scheme(replace(prior, workers=workers)),
+                run_baseline_heterodyne(replace(baseline, workers=workers))]
+        stats = [(res.mean_q, res.mean_p, res.mse_q, res.mse_p, res.mse_sum,
+                  res.se_mse_q, res.se_mse_p, res.se_mse_sum) for res in runs]
+        per_shot = run_scheme(replace(prior, workers=workers), record_shots=True).per_shot
+        scan = empirical_K_min(1.0, 0.5, 1.5, shots, np.linspace(0.5, 1.0, 11),
+                               seed=3, workers=workers)
+        return stats, per_shot, scan.mse
+
+    first = None
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        for workers in (1, 2, 3, None):
+            stats, per_shot, scan = outputs(workers)
+            if first is None:
+                first = stats, per_shot, scan
+                continue
+            assert stats == first[0], (cores, workers)
+            for key, values in first[1].items():
+                assert np.array_equal(per_shot[key], values), (cores, workers, key)
+            assert np.array_equal(scan, first[2]), (cores, workers)
+
+
+def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
+    """|q0| past ~1.3e154 or a prior width whose square overflows gives a
+    target MSE outside the float range: ValueError, with no shot drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the target was checked")
+
+    monkeypatch.setattr(montecarlo, "_sample", no_sampling)
+    with pytest.raises(ValueError, match="floating-point range"):
+        run_scheme(scheme_cfg(shots=1000, q0=1e200))
+    with pytest.raises(ValueError, match="floating-point range"):
+        run_baseline_heterodyne(EstimationConfig(shots=1000, seed=0, prior_delta=1e300,
+                                                 scaling="coherent"))
 
 
 _jitter = st.none() | st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dispest import (asym_n2_threshold, duan_best, duan_check, make_tmst,
-                     random_unsqueezed_two_mode, scheme_variance_propagated,
+from dispest import (asym_n2_threshold, beamsplit_balanced, duan_best, duan_check,
+                     make_tmst, random_unsqueezed_two_mode, scheme_variance_propagated,
                      scheme_variance_sum, sql_beating_vs_entanglement, vacuum)
+from dispest.witness import duan_lhs
 
 
 def test_duan_examples():
@@ -49,6 +50,30 @@ def test_propagated_variance_matches_closed_form():
     for r, N in [(0.0, 0.0), (0.4, 0.7), (1.2, 0.1)]:
         assert np.isclose(scheme_variance_propagated(make_tmst(r, N)),
                           scheme_variance_sum(r, N), atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [8.0, 10.0, 12.0])
+def test_cross_checks_refuse_cancelled_sums(r):
+    """Past r ~ 6 the covariance route loses the variance sum in the rounding
+    of its e^{2r} entries (-2.0e-7 against 1.2e-8 at r = 10): it raises."""
+    for call in (scheme_variance_propagated, duan_check, duan_best):
+        with pytest.raises(ValueError, match="cancels"):
+            call(make_tmst(r, 1.0))
+    with pytest.raises(ValueError, match="cancels"):
+        sql_beating_vs_entanglement(r, N=1.0)
+
+
+def test_cross_checks_keep_resolved_sums():
+    """Where the sum is resolved the guard returns the covariance route's value
+    unchanged; at r = 6 it is within 1e-5 of the exact 2(2N + 1)e^{-2r}."""
+    for r in (0.0, 0.5, 1.0, 2.0, 6.0):
+        for N in (0.0, 1.0):
+            st = make_tmst(r, N)
+            out = beamsplit_balanced(st, (0, 1)).cov
+            assert scheme_variance_propagated(st) == 2.0 * (out[1, 1] + out[2, 2])
+            assert duan_check(st).lhs == duan_lhs(st.cov)
+            exact = 2.0 * (2.0 * N + 1.0) * np.exp(-2.0 * r)
+            assert scheme_variance_propagated(st) == pytest.approx(exact, rel=1e-5)
 
 
 def test_symmetric_report():
