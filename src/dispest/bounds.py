@@ -103,7 +103,6 @@ class BoundReport:
     r_sql: float | None = None
     scheme_variance: float | None = None
     gap: float | None = None
-    query: BoundQuery | None = None
 
 
 def _hermitian_pinv(mat: np.ndarray) -> np.ndarray:
@@ -327,8 +326,6 @@ def _gap_D(r, N):
 
 def prior_fisher_gaussian(delta: float) -> np.ndarray:
     """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0)."""
-    if np.isinf(delta):
-        return np.zeros((2, 2))
     if not delta > 0:
         raise ValueError("prior width must be positive")
     return np.eye(2) / (delta * delta)
@@ -345,22 +342,23 @@ class ScalingFactors:
 
 
 def scaling_factors(var0, delta: float) -> ScalingFactors:
-    """Scalings K_c = D^2/(1+D^2) and K_min = D^2/(Var0+D^2), with the averaged
-    two-parameter MSE each achieves when the unscaled per-parameter variance
-    is Var0.  Broadcasts over Var0."""
+    """Scalings K_c = 1/(1 + u) and K_min = 1/(1 + Var0 u) of a prior of width
+    D, u = 1/D^2, and their averaged two-parameter MSEs 2 Var0 K_min and
+    2[K_c^2 Var0 + b^2], b = (1 - K_c)D = 1/(D + 1/D), for the unscaled
+    per-parameter variance Var0 (broadcasts); finite for any D, inf included."""
     var0 = np.asarray(var0, dtype=float)
     if not np.all(var0 > 0):
         raise ValueError("var0 must be positive")
-    if np.isinf(delta):
-        return ScalingFactors(1.0, 1.0, 2.0 * var0, 2.0 * var0)
+    delta = float(delta)  # Python floats leave the range without a warning
     if not delta > 0:
         raise ValueError("prior width must be positive")
-    d2 = delta * delta
-    k_c = d2 / (1.0 + d2)
-    k_min = d2 / (var0 + d2)
-    mse_min = 2.0 * var0 * d2 / (var0 + d2)
-    mse_kc = 2.0 * d2 * (1.0 + d2 * var0) / (1.0 + d2) ** 2
-    return ScalingFactors(k_c, k_min, mse_min, mse_kc)
+    w = 1.0 / delta
+    u = w * w
+    k_c = 1.0 / (1.0 + u)
+    k_min = 1.0 / (1.0 + var0 * u)
+    bias = 1.0 / (delta + w)
+    return ScalingFactors(k_c, k_min, 2.0 * var0 * k_min,
+                          2.0 * (k_c * k_c * var0 + bias * bias))
 
 
 def check_in_range(r, *values) -> None:
@@ -398,4 +396,4 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
                    [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None])
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
                        branch=str(branch), r_ths=r_ths, r_sql=r_sql,
-                       scheme_variance=scheme_variance, gap=gap, query=query)
+                       scheme_variance=scheme_variance, gap=gap)

@@ -131,12 +131,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_scaling(text: str) -> tuple[str, float | None]:
+def _parse_scaling(text: str) -> str | float:
     if text in ("none", "coherent", "optimal"):
-        return text, None
+        return text
     if text.startswith("K="):
         try:
-            return "explicit", finite(text[2:])
+            return finite(text[2:])
         except ValueError:
             pass
     raise UsageError("--scaling must be none, coherent, optimal or K=<value>")
@@ -148,22 +148,20 @@ def cmd_simulate(args) -> int:
         raise UsageError("--baseline conflicts with --r/--N")
     if not args.baseline and (args.r is None or args.N is None):
         raise UsageError("simulate needs --r and --N (or --baseline)")
-    scaling, k_explicit = _parse_scaling(args.scaling)
     jitter = tuple(_numbers(args.jitter, 2, "--jitter")) if args.jitter else None
     try:
         cfg = EstimationConfig(
             shots=args.shots, seed=args.seed, r=args.r, N=args.N, N2=args.N2,
             q0=args.q0, p0=args.p0, prior_delta=args.prior_delta,
-            scaling=scaling, K=k_explicit, jitter=jitter, workers=args.workers)
+            scaling=_parse_scaling(args.scaling), jitter=jitter, workers=args.workers)
     except ValueError as exc:
         raise UsageError(str(exc))
-    runner = run_baseline_heterodyne if args.baseline else run_scheme
-    result = runner(cfg, record_shots=args.dump_shots is not None)
-
     kind = "coherent" if args.baseline else "tmst" if cfg.N2 is None else "tmst_asym"
-    bound = bound_most_informative(BoundQuery(
+    bound = bound_most_informative(BoundQuery(  # before the run: it may exit 3
         kind=kind, r=cfg.r or 0.0, N=cfg.N or 0.0, N2=cfg.N2,
         delta=cfg.prior_delta)).b_mi
+    runner = run_baseline_heterodyne if args.baseline else run_scheme
+    result = runner(cfg, record_shots=args.dump_shots is not None)
 
     config = {
         "baseline": args.baseline, "r": cfg.r, "N": cfg.N, "N2": cfg.N2,
@@ -229,21 +227,23 @@ def cmd_figure(args) -> int:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
     with np.errstate(all="ignore"):  # values out of range raise below
         fisher = probe_fisher("tmst", grid, n_th)
-    # a finite H keeps var0 > 0 and every column below finite
-    check_in_range(grid, *fisher)
+    check_in_range(grid, *fisher)  # a finite H keeps var0 > 0
     var0 = scheme_variance_sum(grid, n_th) / 2.0
-    for delta in deltas:
+    figures = []
+    for delta in deltas:  # every column is checked before any file is written
+        with np.errstate(all="ignore"):  # a prior width whose square underflows
+            factors = scaling_factors(var0, delta)
+            columns = [factors.mse_min, factors.mse_kc, evaluate_bounds(*fisher, delta)[2],
+                       np.full_like(grid, 2.0 * factors.k_c)]
+        check_in_range(grid, *columns)
+        figures.append((delta, [grid] + columns))
+    for delta, columns in figures:
         config = {"name": "fig3", "delta": delta, "N": n_th,
                   "r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
-        b_mi = evaluate_bounds(*fisher, delta)[2]
-        factors = scaling_factors(var0, delta)
-        b_sql = np.full_like(grid, 2.0 * delta ** 2 / (1.0 + delta ** 2))
-        name = f"fig3_{delta:g}.csv"
-        _write_csv(os.path.join(out, name),
-                   ["r", "mse_Kmin", "mse_Kc", "B_MI", "B_SQL"],
-                   _rows([grid, factors.mse_min, factors.mse_kc, b_mi, b_sql]),
-                   "figure", config)
-        print(os.path.join(out, name))
+        name = os.path.join(out, f"fig3_{delta:g}.csv")
+        _write_csv(name, ["r", "mse_Kmin", "mse_Kc", "B_MI", "B_SQL"],
+                   _rows(columns), "figure", config)
+        print(name)
     return 0
 
 
@@ -256,6 +256,8 @@ def cmd_sweep(args) -> int:
     quantity = args.quantity
     if quantity in ("scheme_variance", "gap", "duan_lhs") and args.probe != "tmst":
         raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
+    if quantity == "gap" and args.delta is not None:
+        raise UsageError("quantity 'gap' is the flat-prior gap; it takes no --delta")
     query = _probe_query(args)
     with np.errstate(all="ignore"):  # values out of range raise below
         if quantity in ("scheme_variance", "duan_lhs"):  # E is the Duan sum at a = 1
@@ -306,14 +308,10 @@ def build_parser() -> _Parser:  # built once per process; parsing keeps no state
     ps = sub.add_parser("simulate", help="Monte Carlo estimation run")
     ps.add_argument("--baseline", action="store_true",
                     help="coherent probe with heterodyne instead of the scheme")
-    ps.add_argument("--r", type=finite, default=None)
-    ps.add_argument("--N", type=finite, default=None)
-    ps.add_argument("--N2", type=finite, default=None)
+    for name in ("--r", "--N", "--N2", "--q0", "--p0", "--prior-delta"):
+        ps.add_argument(name, type=finite, default=None)
     ps.add_argument("--shots", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--q0", type=finite, default=None)
-    ps.add_argument("--p0", type=finite, default=None)
-    ps.add_argument("--prior-delta", type=finite, default=None)
     ps.add_argument("--scaling", type=str, default="none",
                     help="none | coherent | optimal | K=<value>")
     ps.add_argument("--jitter", type=str, default=None, help="dq2,dp2")

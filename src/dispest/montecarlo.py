@@ -32,9 +32,10 @@ class EstimationConfig:
     """Configuration of one estimation experiment.
 
     Either fix the true parameters (q0, p0) or set prior_delta to redraw them
-    each shot from the centered Gaussian prior.  scaling is one of 'none',
-    'coherent' (K_c), 'optimal' (K_min) or 'explicit' (uses K).  jitter adds
-    Gaussian displacement noise with variances (dq2, dp2).
+    each shot from the centered Gaussian prior.  scaling is the estimator
+    scaling K: 'none' (K = 1), 'coherent' (K_c), 'optimal' (K_min), or a
+    finite real number.  jitter adds Gaussian displacement noise with
+    variances (dq2, dp2).
     """
 
     shots: int
@@ -45,14 +46,17 @@ class EstimationConfig:
     q0: float | None = None
     p0: float | None = None
     prior_delta: float | None = None
-    scaling: str = "none"
-    K: float | None = None
+    scaling: str | float = "none"
     jitter: tuple[float, float] | None = None
     workers: int | None = None
 
     def __post_init__(self):
         check_probe(self.r, self.N, self.N2)
-        values = (self.q0, self.p0, self.prior_delta, self.K) + (
+        k = None if isinstance(self.scaling, str) else self.scaling
+        if k is not None and (type(k) is bool or not isinstance(
+                k, (int, float, np.integer, np.floating))):
+            raise ValueError("scaling must be a mode name or a real number")
+        values = (self.q0, self.p0, self.prior_delta, k) + (
             tuple(self.jitter) if self.jitter is not None else ())
         if not all(np.isfinite(v) for v in values if v is not None):
             raise ValueError("numeric settings must be finite")
@@ -70,10 +74,8 @@ class EstimationConfig:
             raise ValueError("either fixed (q0, p0) or prior_delta is required")
         if self.prior_delta is not None and not self.prior_delta > 0:
             raise ValueError("prior_delta must be positive")
-        if self.scaling not in ("none", "coherent", "optimal", "explicit"):
+        if k is None and self.scaling not in ("none", "coherent", "optimal"):
             raise ValueError(f"unknown scaling mode '{self.scaling}'")
-        if self.scaling == "explicit" and self.K is None:
-            raise ValueError("explicit scaling needs K")
         if self.scaling in ("coherent", "optimal") and self.prior_delta is None:
             raise ValueError(f"scaling '{self.scaling}' needs prior_delta")
         if self.jitter is not None and (self.jitter[0] < 0 or self.jitter[1] < 0):
@@ -212,15 +214,16 @@ def _simulate(cfg: EstimationConfig, var: float, m: float,
     """
     jq, jp = cfg.jitter or (0.0, 0.0)
     var_est_q, var_est_p = m * var + jq, m * var + jp
-    k = float(cfg.K) if cfg.scaling == "explicit" else 1.0
+    theta = (cfg.q0, cfg.p0) if cfg.prior_delta is None else (cfg.prior_delta,) * 2
     # out-of-range values raise below; x ** 2 of a Python float would raise
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.scaling in ("coherent", "optimal"):
+        k = 1.0 if cfg.scaling == "none" else cfg.scaling
+        if isinstance(k, str):
             factors = scaling_factors(0.5 * (var_est_q + var_est_p), cfg.prior_delta)
-            k = factors.k_c if cfg.scaling == "coherent" else factors.k_min
-        target = k * k * (var_est_q + var_est_p) + (k - 1.0) * (k - 1.0) * (
-            2.0 * cfg.prior_delta * cfg.prior_delta if cfg.prior_delta is not None
-            else cfg.q0 * cfg.q0 + cfg.p0 * cfg.p0)
+            k = factors.k_c if k == "coherent" else factors.k_min
+        k = float(k)
+        bias = [(1.0 - k) * t for t in theta]  # 0 at K = 1, however large θ
+        target = k * k * (var_est_q + var_est_p) + sum(b * b for b in bias)
     if not np.isfinite(target):  # also where a variance is not finite
         raise ValueError("the target MSE is outside the floating-point range")
     div = np.sqrt(m)

@@ -159,6 +159,38 @@ def test_scaling_factors():
     assert f.k_c == f.k_min == 1.0 and np.isclose(f.mse_min, 1.4)
 
 
+def _squared_width_forms(var0, delta):
+    """K_c, K_min, MSE(K_min) and MSE(K_c) in powers of D^2, which overflow
+    for wide priors but are exact enough below D ~ 1e50."""
+    d2 = delta * delta
+    return (d2 / (1.0 + d2), d2 / (var0 + d2), 2.0 * var0 * d2 / (var0 + d2),
+            2.0 * d2 * (1.0 + d2 * var0) / (1.0 + d2) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta=st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e) | st.just(np.inf),
+       var0=st.floats(1e-6, 1e3), kind=st.sampled_from(["single", "tmst"]),
+       r=st.floats(0.0, 2.0), N=st.floats(0.0, 2.0))
+def test_prior_forms_are_finite_and_match_the_squared_width_forms(delta, var0, kind,
+                                                                  r, N):
+    """Written in u = 1/D^2 and (1 - K_c)D, the scalings lie in (0, 1] and every
+    field is finite for any width, D = inf included; where the D^2 forms are
+    finite they agree to rounding.  An infinite width is the flat prior."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = scaling_factors(var0, delta)
+    fields = (f.k_c, f.k_min, f.mse_min, f.mse_kc)
+    assert all(np.isfinite(x) for x in fields)
+    assert 0.0 < f.k_c <= 1.0 and 0.0 < f.k_min <= 1.0
+    assert f.mse_min <= f.mse_kc * (1.0 + 1e-15)  # equal at Var0 = 1, to rounding
+    if delta <= 1e50:
+        assert fields == pytest.approx(_squared_width_forms(var0, delta),
+                                       rel=1e-14, abs=0.0)
+    H, j_inv = probe_fisher(kind, r, N)
+    for got, flat in zip(evaluate_bounds(H, j_inv, np.inf), evaluate_bounds(H, j_inv)):
+        assert np.array_equal(got, flat)
+
+
 def test_flat_prior_monotonicity():
     rs = np.linspace(0.05, 1.5, 12)
     for N in N_GRID:

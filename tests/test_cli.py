@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dispest
-from dispest import cli
+from dispest import cli, scheme_variance_sum
 from dispest.fock import PureStateError
 from dispest.montecarlo import EstimationConfig, run_scheme
 
@@ -110,6 +110,7 @@ def test_bounds_csv_format(capsys):
     ["nonsense"],
     ["simulate", "--r", "0.5", "--N", "0.2", "--shots", "1000", "--q0", "0",
      "--p0", "0", "--seed", "-1"],
+    ["sweep", "--quantity", "gap", "--delta", "2", "--steps", "5"],
 ])
 def test_usage_errors_exit_2(capsys, args):
     code, _, err = run_cli(capsys, args)
@@ -338,21 +339,80 @@ def test_simulate_results_independent_of_workers(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["--r", "1", "--N", "0", "--q0", "1e200", "--p0", "0"],
-    ["--baseline", "--prior-delta", "1e300", "--scaling", "coherent"],
-    ["--r", "1", "--N", "0", "--prior-delta", "1e150", "--scaling", "optimal"],
-], ids=["q0-1e200", "baseline-delta-1e300", "delta-1e150"])
+    ["--r", "1", "--N", "0", "--q0", "1e200", "--p0", "0", "--scaling", "K=0.5"],
+    ["--baseline", "--prior-delta", "1e200", "--scaling", "K=0.5"],
+], ids=["q0-1e200", "baseline-delta-1e200"])
 def test_simulate_target_past_the_float_range_exits_3(capsys, args):
-    """One stderr line and exit 3, no traceback; at delta = 1e150 the scaling
-    factors overflow (a Python float OverflowError) before the target does."""
+    """One stderr line and exit 3, no traceback: at K = 1/2 the squared bias
+    ((1 - K) theta)^2 of theta = 1e200 overflows."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["simulate", "--shots", "1000", *args])
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
-    if "1e150" not in args:
-        assert err == ("numerical failure: the target MSE is outside the "
-                       "floating-point range\n")
+    assert err == ("numerical failure: the target MSE is outside the "
+                   "floating-point range\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["--r", "1", "--N", "0", "--q0", "1e200", "--p0", "0"],
+    ["--baseline", "--prior-delta", "1e300", "--scaling", "coherent"],
+    ["--r", "1", "--N", "0", "--prior-delta", "1e150", "--scaling", "optimal"],
+] + [["--r", "1", "--N", "0.5", "--prior-delta", delta, "--scaling", scaling]
+     for delta in ("1e100", "1e200", "1e300") for scaling in ("coherent", "optimal")],
+    ids=["q0-1e200", "baseline-delta-1e300", "delta-1e150"]
+    + [f"delta-{d}-{s}" for d in ("1e100", "1e200", "1e300")
+       for s in ("coherent", "optimal")])
+def test_simulate_wide_targets_are_finite(capsys, args):
+    """At K = 1 the bias term of the target is zero however large the truth or
+    the prior width, and K_c, K_min round to 1 for wide priors: exit 0 with
+    finite results, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["simulate", "--shots", "1000", *args])
+    assert code == 0 and err == ""
+    res = load_record(out)["results"]
+    assert res["k_used"] == 1.0
+    assert all(np.isfinite(v) for v in res.values() if v is not None)
+    var_sum = 2.0 if "--baseline" in args else (
+        2 * (2 * float(args[3]) + 1) * np.exp(-2.0))
+    assert res["target_mse_sum"] == pytest.approx(var_sum, rel=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--probe", "tmst", "--r", "1", "--N", "0.5", "--delta", "1e-200"],
+    ["sweep", "--quantity", "b_mi", "--N", "0.5", "--delta", "1e-200", "--steps", "3"],
+    ["figure", "fig3", "--deltas", "1,1e-200", "--steps", "3"],
+    ["simulate", "--r", "1", "--N", "0.5", "--prior-delta", "1e-200", "--scaling",
+     "coherent", "--shots", "1000"],
+], ids=["bounds", "sweep", "fig3", "simulate"])
+def test_narrow_priors_exit_3(capsys, tmp_path, args):
+    """A prior width whose square underflows (delta <~ 1e-154) has an infinite
+    prior Fisher weight: exit 3 with one line and no warning, and fig3 writes
+    no file for any of its widths."""
+    if args[0] == "figure":
+        args = [*args, "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, args)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_fig3_wide_prior_is_the_flat_limit(capsys, tmp_path):
+    """At delta = 1e200 the scalings are 1: B_SQL = 2 and both averaged
+    errors are 2 Var0 = E, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, ["figure", "fig3", "--deltas", "1e200",
+                                        "--steps", "5", "--out", str(tmp_path)])
+    assert code == 0
+    rows = np.loadtxt(out.strip(), delimiter=",", comments="#", skiprows=4)
+    assert np.all(rows[:, 4] == 2.0)
+    var0 = scheme_variance_sum(rows[:, 0], 1.0) / 2.0
+    assert np.array_equal(rows[:, 1], 2.0 * var0)
+    assert np.array_equal(rows[:, 2], 2.0 * var0)
 
 
 @pytest.mark.parametrize("r", [8.0, 15.0])
@@ -519,7 +579,7 @@ def test_simulate_checks_the_probe_at_most_twice(capsys, probe_checks, args):
 # runs each command in a fresh interpreter, then the Fock oracle
 _IMPORT_GUARD = """
 import contextlib, io, json, sys
-from dispest import cli
+from dispest import cli, scheme_variance_sum
 commands = [["bounds", "--probe", "tmst", "--r", "0.7", "--N", "1"],
             ["simulate", "--r", "0.7", "--N", "1", "--shots", "1000",
              "--q0", "0", "--p0", "0"],

@@ -36,9 +36,10 @@ def test_config_validation():
                          prior_delta=1.0)
     with pytest.raises(ValueError):
         EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0)
-    with pytest.raises(ValueError):
-        EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0,
-                         scaling="explicit")
+    for bad in ("explicit", True):
+        with pytest.raises(ValueError):
+            EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0,
+                             scaling=bad)
     with pytest.raises(ValueError):
         EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0,
                          scaling="optimal")
@@ -46,7 +47,7 @@ def test_config_validation():
         EstimationConfig(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0,
                          jitter=(-0.1, 0.0))
     base = dict(shots=1000, seed=0, r=1.0, N=0.0, q0=0.0, p0=0.0)
-    for field in ("r", "N", "N2", "q0", "p0", "K"):
+    for field in ("r", "N", "N2", "q0", "p0", "scaling"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 EstimationConfig(**{**base, field: bad})
@@ -126,7 +127,7 @@ def test_baseline_empirical_argmin_matches_kc():
     results = []
     for k in k_grid:
         cfg = EstimationConfig(shots=200_000, seed=31, prior_delta=delta,
-                               scaling="explicit", K=float(k))
+                               scaling=float(k))
         results.append(run_baseline_heterodyne(cfg).mse_sum)
     best = k_grid[int(np.argmin(results))]
     assert abs(best - scaling_factors(1.0, delta).k_c) <= 0.02 + 1e-9
@@ -428,17 +429,17 @@ def test_results_independent_of_threads(monkeypatch):
 
 
 def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
-    """|q0| past ~1.3e154 or a prior width whose square overflows gives a
-    target MSE outside the float range: ValueError, with no shot drawn."""
+    """At K = 1/2 a truth or prior width of 1e200 gives a squared bias, so a
+    target MSE, outside the float range: ValueError, with no shot drawn."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the target was checked")
 
     monkeypatch.setattr(montecarlo, "_sample", no_sampling)
     with pytest.raises(ValueError, match="floating-point range"):
-        run_scheme(scheme_cfg(shots=1000, q0=1e200))
+        run_scheme(scheme_cfg(shots=1000, q0=1e200, scaling=0.5))
     with pytest.raises(ValueError, match="floating-point range"):
-        run_baseline_heterodyne(EstimationConfig(shots=1000, seed=0, prior_delta=1e300,
-                                                 scaling="coherent"))
+        run_baseline_heterodyne(EstimationConfig(shots=1000, seed=0, prior_delta=1e200,
+                                                 scaling=0.5))
 
 
 _jitter = st.none() | st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2))
