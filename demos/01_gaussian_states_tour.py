@@ -20,7 +20,7 @@ for N in (0.0, 0.5, 1.0):
     print(f"thermal N={N}: Var(q) = {st.cov[0, 0]:.3f}, purity = {st.purity:.3f}")
 
 # %% A two-mode squeezed thermal state stores its correlations in the
-# off-diagonal covariance block: q1 - q2 and p1 + p2 are squeezed.
+# off-diagonal covariance block: q1 + q2 and p1 - p2 are squeezed.
 r, N = 0.8, 0.3
 probe = make_tmst(r, N)
 print("\nTMST covariance (r=0.8, N=0.3):")

@@ -77,6 +77,10 @@ class BoundQuery:
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("prior width must be positive and finite")
         _check_count("shots", self.shots, 1)
+        try:  # the bounds divide by M as a float
+            float(self.shots)
+        except OverflowError:
+            raise ValueError("shots is too large for a float") from None
         if self.weight is not None:
             w = np.asarray(self.weight, dtype=float)
             if w.shape != (2, 2) or not np.all(np.isfinite(w)) \
@@ -325,10 +329,15 @@ def _gap_D(r, N):
 
 
 def prior_fisher_gaussian(delta: float) -> np.ndarray:
-    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0)."""
+    """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0).
+    Raises ValueError where 1/delta^2 overflows (delta <~ 1e-154)."""
     if not delta > 0:
         raise ValueError("prior width must be positive")
-    return np.eye(2) / (delta * delta)
+    with np.errstate(all="ignore"):
+        prior = np.eye(2) / (delta * delta)
+    if not np.isfinite(prior).all():
+        raise ValueError(f"prior width {delta:g} is too narrow: 1/delta^2 overflows")
+    return prior
 
 
 @dataclass(frozen=True)

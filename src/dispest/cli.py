@@ -227,8 +227,8 @@ def cmd_figure(args) -> int:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
     with np.errstate(all="ignore"):  # values out of range raise below
         fisher = probe_fisher("tmst", grid, n_th)
-    check_in_range(grid, *fisher)  # a finite H keeps var0 > 0
-    var0 = scheme_variance_sum(grid, n_th) / 2.0
+        var0 = scheme_variance_sum(grid, n_th) / 2.0
+    check_in_range(grid, *fisher, var0)  # a finite H keeps var0 > 0
     figures = []
     for delta in deltas:  # every column is checked before any file is written
         with np.errstate(all="ignore"):  # a prior width whose square underflows
@@ -254,10 +254,12 @@ def _rows(columns) -> list:
 def cmd_sweep(args) -> int:
     grid = _grid(args)
     quantity = args.quantity
-    if quantity in ("scheme_variance", "gap", "duan_lhs") and args.probe != "tmst":
-        raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
-    if quantity == "gap" and args.delta is not None:
-        raise UsageError("quantity 'gap' is the flat-prior gap; it takes no --delta")
+    if quantity in ("scheme_variance", "gap", "duan_lhs"):
+        if args.probe != "tmst":
+            raise UsageError(f"quantity '{quantity}' is defined for --probe tmst")
+        if args.delta is not None:
+            raise UsageError(f"quantity '{quantity}' does not depend on a prior; "
+                             "it takes no --delta")
     query = _probe_query(args)
     with np.errstate(all="ignore"):  # values out of range raise below
         if quantity in ("scheme_variance", "duan_lhs"):  # E is the Duan sum at a = 1

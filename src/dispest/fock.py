@@ -30,8 +30,8 @@ copied out of its stack.  Every other probe, such as a displaced one
 (displace_fock), takes one dense route: one eigendecomposition of rho, the
 full T of both generators in its eigenbasis, and the SLD and RLD sums over
 all eigenpairs, the RLD with rho^-1 on the eigenvalues above an inverse floor.
-scipy (dstevd, expm) is imported inside the two functions that call it, so
-that importing dispest loads it only once the oracle runs.
+The oracle needs numpy alone: the squeezer blocks and the displacement come
+from np.linalg.eigh, so that no second linear-algebra library is loaded.
 """
 
 from __future__ import annotations
@@ -104,35 +104,32 @@ def _stack(blocks: list, size: int) -> np.ndarray:
     return stack
 
 
-def _expm_tridiagonal(cs: list) -> list:
-    """exp(G) for each c in cs, of non-increasing size: G[k, k+1] = c[k] =
-    -G[k+1, k], so exp(G) is real orthogonal.
+def _expm_tridiagonal(C: np.ndarray, sizes: list) -> list:
+    """exp(G) for blocks of the non-increasing sizes: row i of C holds block
+    i's G[k, k+1] = c[k] = -G[k+1, k] in its first sizes[i] - 1 entries and
+    zeros after, so exp(G) is real orthogonal.
 
     On even and odd indices G = [[0, B], [-B^T, 0]] with B bidiagonal, so for
     T = B B^T = V L V^T (tridiagonal, ceil(n/2) rows), W = B^T V, w = sqrt(L)
     and f(x) = (1 - cos x)/x^2 = sinc^2(x/2)/2,
     exp(G) = [[V cos(w) V^T, V sinc(w) W^T], [-W sinc(w) V^T, I - W f(w) W^T]].
-    One dstevd call per block; the rest runs on zero-padded stacks of
-    consecutive blocks, from which each block is copied out.
+    Each block is a function of B B^T and B, so zero padding changes none of
+    its entries: consecutive blocks go through one eigh and one set of
+    products as a zero-padded stack, from which each block is copied out.
     """
-    from scipy.linalg.lapack import dstevd
-
     out = []
-    for group in _groups([c.size + 1 for c in cs]):
-        half = (cs[group.start].size + 2) // 2          # ceil(n/2) of the first
+    for group in _groups(sizes):
+        n0 = sizes[group.start]
+        half = (n0 + 1) // 2
         cp = np.zeros((group.stop - group.start, 2 * half))
-        for i, c in enumerate(cs[group]):
-            cp[i, :c.size] = c
+        cp[:, :n0 - 1] = C[group, :n0 - 1]
         ce, co = cp[:, 0::2], cp[:, 1::2]                # B[i, i], -B[i + 1, i]
-        diag, off = ce ** 2, -ce * co                    # of T; off[:, -1] = 0
-        diag[:, 1:] += co[:, :-1] ** 2
-        V = np.tile(np.eye(half), (len(cp), 1, 1))
-        lam = np.zeros((len(cp), half))
-        for i, c in enumerate(cs[group]):
-            m = (c.size + 2) // 2
-            lam[i, :m], V[i, :m, :m], info = dstevd(diag[i, :m], off[i, :max(m - 1, 1)])
-            if info:
-                raise np.linalg.LinAlgError(f"dstevd failed (info={info})")
+        T = np.zeros((len(cp), half, half))             # eigh reads the lower triangle
+        i = np.arange(half)
+        T[:, i, i] = ce ** 2
+        T[:, i[1:], i[1:]] += co[:, :-1] ** 2
+        T[:, i[1:], i[:-1]] = -ce[:, :-1] * co[:, :-1]
+        lam, V = np.linalg.eigh(T)
         W = ce[:, :, None] * V
         W[:, :-1] -= co[:, :-1, None] * V[:, 1:]
         w = np.sqrt(np.maximum(lam, 0.0))[:, None, :]
@@ -144,16 +141,18 @@ def _expm_tridiagonal(cs: list) -> list:
         U[:, 1::2, ::2] = -EO.transpose(0, 2, 1)
         f = 0.5 * np.sinc(w / (2.0 * np.pi)) ** 2     # (1 - cos w)/w^2
         U[:, 1::2, 1::2] = np.eye(half) - (W * f) @ Wt
-        out += [U[i, :c.size + 1, :c.size + 1].copy() for i, c in enumerate(cs[group])]
+        out += [U[i, :n, :n].copy() for i, n in enumerate(sizes[group])]
     return out
 
 
 def _single_squeeze_unitary(r: float, dim: int) -> np.ndarray:
     """exp((r/2)(a†² - a²)) from its even and odd blocks; squeezes p for r > 0."""
     U = np.zeros((dim, dim))
-    cs = [-0.5 * r * np.sqrt((k + 1) * (k + 2))
-          for k in (np.arange(parity, dim - 2, 2.0) for parity in (0, 1))]
-    for parity, block in enumerate(_expm_tridiagonal(cs)):
+    k = np.arange(dim - 2.0)
+    c = np.zeros(dim - dim % 2)   # even length, so c[0::2] and c[1::2] are two rows
+    c[:dim - 2] = -0.5 * r * np.sqrt((k + 1) * (k + 2))   # couples k and k + 2
+    blocks = _expm_tridiagonal(c.reshape(-1, 2).T, [(dim + 1) // 2, dim // 2])
+    for parity, block in enumerate(blocks):
         U[parity::2, parity::2] = block
     return U
 
@@ -168,11 +167,13 @@ def _sector_states(dim: int, d: int) -> np.ndarray:
 def _sector_squeeze_blocks(r: float, dim: int) -> list:
     """Blocks of exp(-r(a†b† - ab)) on the sectors d = n - m = -(dim-1) .. dim-1.
 
-    The generator weights r sqrt(k (k + |d|)) depend on |d| only, so sectors
-    d and -d share one block.
+    The generator weights r sqrt(k (k + |d|)), k = 1 .. dim - 1 - |d|, depend
+    on |d| only, so sectors d and -d share one block; row s of one (dim,
+    dim - 1) array holds those of |d| = s.
     """
-    ks = [np.arange(1.0, dim - s) for s in range(dim)]
-    blocks = _expm_tridiagonal([r * np.sqrt(k * (k + s)) for s, k in enumerate(ks)])
+    k, s = np.arange(1.0, dim), np.arange(dim)[:, None]
+    C = np.where(k + s < dim, r * np.sqrt(k * (k + s)), 0.0)
+    blocks = _expm_tridiagonal(C, list(range(dim, 0, -1)))
     return blocks[:0:-1] + blocks
 
 
@@ -345,12 +346,17 @@ def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
                                N if N2 is None else N2, dim)), **ops)
 
 
+def _displacement(dim: int, q0: float, p0: float) -> np.ndarray:
+    """exp(i(p0 q - q0 p)) on one mode, from the eigenpairs of its Hermitian
+    generator: V diag(e^{i lam}) V†."""
+    q, p = quadratures(dim)
+    lam, V = np.linalg.eigh(p0 * q - q0 * p)
+    return (V * np.exp(1j * lam)) @ V.conj().T
+
+
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
-    from scipy.linalg import expm
-
-    q, p = quadratures(probe.dim)
-    D = expm(1j * p0 * _on_modes(probe, {mode: q}) - 1j * q0 * _on_modes(probe, {mode: p}))
+    D = _on_modes(probe, {mode: _displacement(probe.dim, q0, p0)})
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
                            modes=probe.modes, rho_dense=D @ probe.rho0 @ D.conj().T)
 

@@ -166,7 +166,7 @@ def squeeze_two(state: GaussianState, modes: tuple[int, int], r: float) -> Gauss
 
     On a thermal product input this gives the standard form of _tmst_form,
     blocks a I on the diagonal and -c Z off it (Z = diag(1, -1)), i.e.
-    q1 - q2 and p1 + p2 are the squeezed pairs.
+    q1 + q2 and p1 - p2 are the squeezed pairs.
     """
     Z = np.diag([1.0, -1.0])
     ch, sh = np.cosh(r), np.sinh(r)

@@ -149,6 +149,18 @@ def test_prior_fisher_examples():
     assert np.allclose(prior_fisher_gaussian(np.inf), np.zeros((2, 2)))
 
 
+def test_narrow_priors_raise_without_warnings():
+    """Where 1/delta^2 overflows the prior raises ValueError instead of
+    handing inf and nan to the bounds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prior_fisher_gaussian(1e-150)[0, 0] == pytest.approx(1e300)
+        with pytest.raises(ValueError, match="too narrow"):
+            prior_fisher_gaussian(1e-200)
+        with pytest.raises(ValueError, match="too narrow"):
+            evaluate_bounds(*probe_fisher("tmst", 1.0, 0.5), 1e-200)
+
+
 def test_scaling_factors():
     f = scaling_factors(1.0, 1.0)
     assert f.k_c == f.k_min == 0.5

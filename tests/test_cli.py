@@ -111,6 +111,9 @@ def test_bounds_csv_format(capsys):
     ["simulate", "--r", "0.5", "--N", "0.2", "--shots", "1000", "--q0", "0",
      "--p0", "0", "--seed", "-1"],
     ["sweep", "--quantity", "gap", "--delta", "2", "--steps", "5"],
+    ["sweep", "--quantity", "scheme_variance", "--delta", "2", "--steps", "5"],
+    ["sweep", "--quantity", "duan_lhs", "--delta", "2", "--steps", "5"],
+    ["bounds", "--probe", "tmst", "--r", "0.5", "--N", "1", "--M", "9" * 401],
 ])
 def test_usage_errors_exit_2(capsys, args):
     code, _, err = run_cli(capsys, args)
@@ -400,6 +403,18 @@ def test_narrow_priors_exit_3(capsys, tmp_path, args):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_fig3_where_the_scheme_form_overflows_inside(capsys, tmp_path):
+    """At N = 1e77 and r = 355 the entries a, b of the standard form overflow
+    while E and the Fisher matrices stay finite: exit 0 and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["figure", "fig3", "--r-max", "355",
+                                          "--N", "1e77", "--deltas", "1",
+                                          "--out", str(tmp_path)])
+    assert code == 0 and err == ""
+    assert len(read_csv(out.strip())[2]) == 200
+
+
 def test_fig3_wide_prior_is_the_flat_limit(capsys, tmp_path):
     """At delta = 1e200 the scalings are 1: B_SQL = 2 and both averaged
     errors are 2 Var0 = E, with no warning."""
@@ -576,7 +591,8 @@ def test_simulate_checks_the_probe_at_most_twice(capsys, probe_checks, args):
     assert len(probe_checks) <= 2
 
 
-# runs each command in a fresh interpreter, then the Fock oracle
+# runs each command in a fresh interpreter, then the Fock oracle and a
+# displaced probe
 _IMPORT_GUARD = """
 import contextlib, io, json, sys
 from dispest import cli, scheme_variance_sum
@@ -587,15 +603,17 @@ commands = [["bounds", "--probe", "tmst", "--r", "0.7", "--N", "1"],
             ["figure", "fig2", "--steps", "5", "--out", sys.argv[1]]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(args) for args in commands]
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from dispest import fock_fisher_converged
+from dispest import build_probe_fock, displace_fock, fock_fisher_converged
 fock_fisher_converged("tmst", 0.3, 0.5)
-print(json.dumps({"codes": codes, "before": before,
-                  "after": "scipy.linalg" in sys.modules}))
+displace_fock(build_probe_fock("tmst", 0.3, 0.5, dim=12), 1, 0.4, -0.2)
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_commands_load_scipy_only_with_the_fock_oracle(tmp_path):
+def test_no_command_and_not_the_fock_oracle_loads_scipy(tmp_path):
+    """dispest needs numpy alone: no command, neither the oracle nor a
+    displacement loads scipy."""
     src = os.path.dirname(os.path.dirname(dispest.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -604,5 +622,4 @@ def test_commands_load_scipy_only_with_the_fock_oracle(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0]
-    assert report["before"] == []
-    assert report["after"]
+    assert report["scipy"] == []

@@ -197,6 +197,23 @@ def test_fisher_independent_of_displacement():
                        rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind, mode", [("single", 0), ("tmst", 0), ("tmst", 1)])
+def test_displacement_matches_expm(kind, mode):
+    """D = exp(i(p0 q - q0 p)) from the eigenpairs of its generator is unitary
+    and agrees with expm of the same truncated generator."""
+    dim, q0, p0 = (40, 0.7, -0.3) if kind == "single" else (12, -0.4, 0.25)
+    q, p = fock.quadratures(dim)
+    D = fock._displacement(dim, q0, p0)
+    ref = expm(1j * (p0 * q - q0 * p))
+    assert np.abs(D - ref).max() < 1e-12
+    assert np.abs(D @ D.conj().T - np.eye(dim)).max() < 1e-12
+    probe = build_probe_fock(kind, 0.4, 0.6, dim=dim, tail_tol=np.inf)
+    D2 = ref if kind == "single" else (
+        np.kron(ref, np.eye(dim)) if mode == 0 else np.kron(np.eye(dim), ref))
+    moved = displace_fock(probe, mode, q0, p0)
+    assert np.abs(moved.rho0 - D2 @ probe.rho0 @ D2.conj().T).max() < 1e-12
+
+
 def test_truncation_error_reports_tail():
     with pytest.raises(TruncationError) as err:
         build_probe_fock("single", 1.0, 2.0, dim=10, max_dim=10)

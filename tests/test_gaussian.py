@@ -103,8 +103,8 @@ def test_squeeze_two_blocks():
     Z = np.diag([1.0, -1.0])
     assert np.allclose(st.cov[:2, :2], A * np.eye(2))
     assert np.allclose(st.cov[2:, 2:], A * np.eye(2))
-    # Off-diagonal sign squeezes q1 - q2 and p1 + p2, making the EPR pair
-    # u = q1 + q2, v = p1 - p2 the low-noise combination.
+    # The off-diagonal sign squeezes the EPR pair u = q1 + q2, v = p1 - p2:
+    # Var(u) = Var(v) = 2(A - C).
     assert np.allclose(st.cov[:2, 2:], -C * Z)
 
 
