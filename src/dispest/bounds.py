@@ -8,21 +8,22 @@ variances are
     B_S = tr[G (H + A)^-1] / M
     B_R = (tr[G Re X] + tr|G Im X|) / M,   X = (J + A)^-1
 
-with weight G, prior Fisher matrix A and shot count M.  B_MI = max(B_S, B_R).
-probe_fisher (closed forms for the probe families) and evaluate_bounds
-broadcast over parameter grids; gaussian_fisher serves arbitrary states.
+with weight G, prior Fisher matrix A = I/Delta^2 and shot count M.  B_MI =
+max(B_S, B_R).  probe_fisher (closed forms for the probe families) and
+evaluate_bounds broadcast over parameter grids; gaussian_fisher serves
+arbitrary states, and both return one FisherMatrices pair (H, J^-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .gaussian import (GaussianState, _tmst_form, check_probe,
                        make_squeezed_thermal, make_tmst, symplectic_form, vacuum)
 
-_PURE_TOL = 1e-9
 _KINDS = ("coherent", "single", "tmst", "tmst_asym")
 
 
@@ -30,9 +31,8 @@ class RLDUnavailableError(RuntimeError):
     """RLD bound could not be evaluated and no limiting value applies."""
 
 
-@dataclass(frozen=True)
-class FisherMatrices:
-    """SLD matrix H and inverse RLD matrix J^-1 for the pair (q0, p0).
+class FisherMatrices(NamedTuple):
+    """SLD matrix H and inverse RLD matrix J^-1 for the pair (q0, p0), (..., 2, 2).
 
     J^-1 is stored rather than J because it exists for every physical state,
     pure ones included, and every bound formula consumes J^-1.
@@ -40,8 +40,6 @@ class FisherMatrices:
 
     H: np.ndarray
     j_inv: np.ndarray
-    pure: bool
-    mode: int
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -137,12 +135,10 @@ def gaussian_fisher(state: GaussianState, mode: int = 0) -> FisherMatrices:
         j_inv = Mdd - Mdo @ _hermitian_pinv(Moo) @ Mdo.conj().T
     else:
         j_inv = M
-    j_inv = 0.5 * (j_inv + j_inv.conj().T)
-    pure = state.purity > 1.0 - _PURE_TOL
-    return FisherMatrices(H=H, j_inv=j_inv, pure=pure, mode=mode)
+    return FisherMatrices(H, 0.5 * (j_inv + j_inv.conj().T))
 
 
-def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
+def probe_fisher(kind: str, r, N=0.0, N2=None) -> FisherMatrices:
     """SLD matrix H and inverse RLD matrix J^-1 of a probe family for displacing
     mode 0, each of shape (..., 2, 2); broadcasts over r, N and N2.
 
@@ -161,7 +157,7 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> tuple[np.ndarray, np.ndarray]:
     if kind not in _KINDS:
         raise ValueError(f"unknown probe kind '{kind}'")
     check_probe(r, N, N2)
-    return _probe_fisher(kind, r, N, N2)
+    return FisherMatrices(*_probe_fisher(kind, r, N, N2))
 
 
 def _probe_fisher(kind, r, N, N2):
@@ -199,10 +195,6 @@ def _det(x):
     return x[0] * x[3] - x[1] * x[2]
 
 
-def _adj(x):
-    return x[3], -x[1], -x[2], x[0]
-
-
 def _trace_prod(G, x):
     """tr[G X] for X given by its entries; G = None is the identity."""
     if G is None:
@@ -211,36 +203,36 @@ def _trace_prod(G, x):
     return g[0] * x[0] + g[1] * x[2] + g[2] * x[1] + g[3] * x[3]
 
 
-def _sld(H, prior, weight, shots):
-    """tr[G (H + A)^-1] / M; +inf where |det(H + A)| < 1e-300.  T = H + A is
+def _sld(H, u, weight, shots):
+    """tr[G (H + uI)^-1] / M; +inf where |det(H + uI)| < 1e-300.  T = H + uI is
     first divided by its largest entry s (at least 1e-300), so that det T
     cannot overflow: tr[G T^-1] = tr[G adj T'] / (s det T') with T' = T/s."""
-    t = _entries(H if prior is None else H + prior)
+    t = _entries(H if u is None else H + u * np.eye(2))
     s = np.maximum(np.maximum(abs(t[0]), abs(t[1])), np.maximum(abs(t[2]), abs(t[3])))
     s = np.maximum(s, 1e-300)
     t = tuple(e / s for e in t)
     det = _det(t) * s
     singular = abs(det) < 1e-300 / s
     det = np.where(singular, 1.0, det)
-    return np.where(singular, np.inf, _trace_prod(weight, _adj(t)) / det) / shots
+    adj = (t[3], -t[1], -t[2], t[0])
+    return np.where(singular, np.inf, _trace_prod(weight, adj) / det) / shots
 
 
-def _rld(j_inv, prior, weight, shots):
-    """(tr[G Re X] + tr|G Im X|) / M for the Hermitian part of X = (J + A)^-1.
+def _rld(j_inv, u, weight, shots):
+    """(tr[G Re X] + tr|G Im X|) / M for the Hermitian part of X = (J + uI)^-1.
 
-    For 2x2 matrices X = (J^-1 + D adj A) / det K with D = det J^-1 and
-    det K = det(I + J^-1 A) = 1 + tr[J^-1 A] + D det A, which stays finite
-    for pure probes where J diverges.  The imaginary part of a Hermitian X is
+    For 2x2 matrices X = (J^-1 + D u I) / det K with D = det J^-1 and
+    det K = det(I + u J^-1) = 1 + u tr J^-1 + D u^2, which stays finite for
+    pure probes where J diverges.  The imaginary part of a Hermitian X is
     [[0, w], [-w, 0]], so tr|G Im X| = |w| |G|_1 with the trace norm
     |G|_1 = sqrt(|G|_F^2 + 2 |det G|) (2 for G = I)."""
     x = _entries(j_inv)
-    if prior is not None:
-        a = _entries(prior)
+    if u is not None:
         d = _det(x)
-        det = 1.0 + _trace_prod(prior, x) + d * _det(a)
+        det = 1.0 + (u * x[0] + u * x[3]) + d * (u * u)
         if np.any(abs(det) < 1e-14):
             raise RLDUnavailableError("RLD bound unavailable: singular J + A")
-        x = tuple((e + d * f) / det for e, f in zip(x, _adj(a)))
+        x = ((x[0] + d * u) / det, x[1] / det, x[2] / det, (x[3] + d * u) / det)
     off = 0.5 * (x[1].real + x[2].real)
     w = abs(0.5 * (x[1].imag - x[2].imag))
     if weight is None:
@@ -252,31 +244,45 @@ def _rld(j_inv, prior, weight, shots):
     return (_trace_prod(weight, (x[0].real, off, off, x[3].real)) + norm) / shots
 
 
+def _prior_weight(delta):
+    """Fisher weight u = 1/delta^2 of a Gaussian prior of width delta (None for
+    a flat prior); ValueError where u overflows (delta <~ 1e-154)."""
+    if delta is None:
+        return None
+    if not delta > 0:
+        raise ValueError("prior width must be positive")
+    with np.errstate(all="ignore"):
+        u = np.float64(1.0) / (delta * delta)
+    if not np.isfinite(u):
+        raise ValueError(f"prior width {delta:g} is too narrow: 1/delta^2 overflows")
+    return u
+
+
 def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
     """B_S, B_R, B_MI = max(B_S, B_R) and the branch ('RLD' where B_R > B_S)
     from stacked Fisher matrices (..., 2, 2).  delta is the Gaussian prior's
     width (None: flat prior); the weight G may be stacked too."""
-    prior = None if delta is None else prior_fisher_gaussian(delta)
-    b_s = _sld(H, prior, weight, shots)
-    b_r = _rld(j_inv, prior, weight, shots)
+    _check_count("shots", shots, 1)
+    u = _prior_weight(delta)
+    b_s = _sld(H, u, weight, shots)
+    b_r = _rld(j_inv, u, weight, shots)
     rld = b_r > b_s
     return b_s, b_r, np.where(rld, b_r, b_s), np.where(rld, "RLD", "SLD")
 
 
 def bound_sld(fm: FisherMatrices, weight: np.ndarray | None = None,
-              prior: np.ndarray | None = None, shots: int = 1) -> float:
-    """SLD Cramer-Rao bound tr[G (H + A)^-1] / M; +inf when H + A is singular."""
-    return float(_sld(fm.H, prior, weight, shots))
+              delta: float | None = None, shots: int = 1) -> float:
+    """SLD Cramer-Rao bound tr[G (H + I/delta^2)^-1] / M, flat for delta None; +inf if singular."""
+    _check_count("shots", shots, 1)
+    return float(_sld(fm.H, _prior_weight(delta), weight, shots))
 
 
 def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
-              prior: np.ndarray | None = None, shots: int = 1) -> float:
-    """RLD Cramer-Rao bound (tr[G Re X] + tr|G Im X|) / M with X = (J + A)^-1.
-
-    X is built from the stored J^-1 as (I + J^-1 A)^-1 J^-1, which stays finite
-    for pure probes where J itself diverges.
-    """
-    return float(_rld(fm.j_inv, prior, weight, shots))
+              delta: float | None = None, shots: int = 1) -> float:
+    """RLD Cramer-Rao bound (tr[G Re X] + tr|G Im X|) / M, X = (J + I/delta^2)^-1
+    with delta as in bound_sld; finite from J^-1 for pure probes where J diverges."""
+    _check_count("shots", shots, 1)
+    return float(_rld(fm.j_inv, _prior_weight(delta), weight, shots))
 
 
 def thresholds(N: float) -> tuple[float, float]:
@@ -331,13 +337,7 @@ def _gap_D(r, N):
 def prior_fisher_gaussian(delta: float) -> np.ndarray:
     """Fisher matrix I/delta^2 of the product Gaussian prior on (q0, p0).
     Raises ValueError where 1/delta^2 overflows (delta <~ 1e-154)."""
-    if not delta > 0:
-        raise ValueError("prior width must be positive")
-    with np.errstate(all="ignore"):
-        prior = np.eye(2) / (delta * delta)
-    if not np.isfinite(prior).all():
-        raise ValueError(f"prior width {delta:g} is too narrow: 1/delta^2 overflows")
-    return prior
+    return _prior_weight(delta) * np.eye(2)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from math import ceil
 
 import numpy as np
 
+from .bounds import _check_count
 from .gaussian import _tmst_form, check_probe
 
 _SQRT2 = np.sqrt(2.0)
@@ -49,6 +50,7 @@ DEFAULT_TAIL_TOL = 1e-10
 _SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
 DEFAULT_INV_FLOOR = 1e-10  # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
+_CONVERGED_TOL = 1e-8   # fock_fisher_converged: largest leakage and drift accepted
 _STACK_BYTES = 1 << 17  # one zero-padded stack of blocks (_groups)
 
 
@@ -306,6 +308,11 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
     if kind == "tmst_asym" and N2 is None:
         raise ValueError("tmst_asym needs N2")
     check_probe(r, N, N2)
+    for name, value in (("dim", dim), ("max_dim", max_dim)):
+        if value is not None:
+            _check_count(name, value, 2)
+    if not tail_tol > 0:
+        raise ValueError("tail_tol must be positive")
     if max_dim is None:
         max_dim = 600 if kind == "single" else 420
     if dim is None:
@@ -356,6 +363,9 @@ def _displacement(dim: int, q0: float, p0: float) -> np.ndarray:
 
 def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
     """Displaced copy of the probe (dense route; meant for moderate dims)."""
+    for name, value in (("q0", q0), ("p0", p0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     D = _on_modes(probe, {mode: _displacement(probe.dim, q0, p0)})
     return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
                            modes=probe.modes, rho_dense=D @ probe.rho0 @ D.conj().T)
@@ -517,6 +527,8 @@ def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
     for monomial in monomials:
         per_mode = dict.fromkeys(range(probe.modes), eye)
         for name, mode in monomial:
+            if name not in table:
+                raise ValueError(f"unknown operator name {name!r}: use q, p, a or adag")
             per_mode[mode] = per_mode.get(mode, eye) @ table[name]
         out.append(complex(np.sum(rho * _on_modes(probe, per_mode).T)))  # tr(rho op)
     return out
@@ -527,22 +539,22 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
 
 
 def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
-                          dim: int | None = None, tol: float = 1e-8, **build_kwargs):
-    """Compute (H, J) at dim and dim + 5 and insist they agree within tol.
+                          dim: int | None = None, **build_kwargs):
+    """Compute (H, J) at dim and dim + 5 and insist they agree within 1e-8.
 
     The probe's selection-rule leakage (module docstring) must also stay
-    within tol.
+    within 1e-8.
     """
     probe = build_probe_fock(kind, r, N, N2, dim=dim, **build_kwargs)
     H1, J1, leakage = _fisher_pass(probe)
-    if leakage > tol:
+    if leakage > _CONVERGED_TOL:
         raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",
                               tail_mass=probe.tail_mass())
     bigger = build_probe_fock(kind, r, N, N2, dim=probe.dim + 5,
                               **{**build_kwargs, "tail_tol": np.inf})
     H2, J2, _ = _fisher_pass(bigger)
     drift = max(np.max(np.abs(H1 - H2)), np.max(np.abs(J1 - J2)))
-    if drift > tol:
+    if drift > _CONVERGED_TOL:
         raise TruncationError(
             f"Fisher matrices drift by {drift:.3e} between dim={probe.dim} "
             f"and dim={bigger.dim}", tail_mass=probe.tail_mass())

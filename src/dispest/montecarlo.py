@@ -289,7 +289,7 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
     cancellation.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.size < 2 or np.any(k_grid <= 0) or np.any(k_grid > 1.0 + 1e-12):
+    if k_grid.size < 2 or not np.all((k_grid > 0) & (k_grid <= 1.0 + 1e-12)):
         raise ValueError("k_grid must span values in (0, 1]")
     cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, N2=N2,
                            prior_delta=delta, workers=workers)

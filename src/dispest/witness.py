@@ -64,6 +64,8 @@ def duan_lhs(cov, a: float = 1.0):
 def duan_check(state: GaussianState, a: float = 1.0) -> DuanResult:
     """Evaluate the EPR variance sum against the separability floor a^2 + 1/a^2.
     ValueError where the sum cancels in the entries (r ≳ 6 for make_tmst)."""
+    if not np.isfinite(a):
+        raise ValueError("a must be finite")
     _require_two_modes(state)
     lhs = _resolved(float(duan_lhs(state.cov, a)), state.cov)
     rhs = float(a * a + 1.0 / (a * a))

@@ -11,7 +11,7 @@ import numpy as np
 
 from dispest import (BoundQuery, EstimationConfig, bound_most_informative,
                      bound_rld, build_probe_fock, duan_check, gap_D,
-                     gaussian_fisher, make_tmst, prior_fisher_gaussian,
+                     gaussian_fisher, make_tmst,
                      random_unsqueezed_two_mode, rld_fisher_fock,
                      run_baseline_heterodyne, run_scheme,
                      scheme_variance_propagated, scheme_variance_sum,
@@ -135,8 +135,7 @@ def test_criterion_05_gap_identity_and_shape(capsys):
 def test_criterion_06_prior_bounds_and_fig3_saturation(capsys):
     worst = 0.0
     for delta in (1.0, 2.0, 3.0, 5.0):
-        got = bound_rld(gaussian_fisher(vacuum(1)),
-                        prior=prior_fisher_gaussian(delta))
+        got = bound_rld(gaussian_fisher(vacuum(1)), delta=delta)
         worst = max(worst, abs(got - 2 * delta ** 2 / (1 + delta ** 2)))
     assert worst < 1e-8
 

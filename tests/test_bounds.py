@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     bound_rld, bound_sld, displace, evaluate_bounds, gap_D,
+                     bound_rld, bound_sld, build_probe_fock, displace, displace_fock,
+                     duan_check, empirical_K_min, evaluate_bounds, gap_D,
                      gaussian_fisher, make_squeezed_thermal, make_thermal,
-                     make_tmst, prior_fisher_gaussian, probe_fisher,
+                     make_tmst, moments_fock, prior_fisher_gaussian, probe_fisher,
                      scaling_factors, scheme_variance_sum, thresholds, vacuum)
 
 R_GRID = (0.0, 0.3, 0.6, 1.0)
@@ -27,7 +28,8 @@ def test_vacuum_fisher():
     fm = gaussian_fisher(vacuum(1))
     assert np.allclose(fm.H, 2 * np.eye(2))
     assert np.allclose(fm.j_inv, 0.5 * np.array([[1, 1j], [-1j, 1]]))
-    assert fm.pure
+    closed = probe_fisher("coherent", 0.0)
+    assert type(closed) is type(fm) and all(map(np.allclose, closed, fm))
 
 
 def test_single_mode_traces():
@@ -58,7 +60,7 @@ def test_bound_sld_examples():
 def test_bound_sld_prior_formula():
     for r, N, delta in [(0.4, 0.7, 1.0), (1.0, 0.5, 2.0), (0.0, 2.0, 3.0)]:
         fm = gaussian_fisher(make_tmst(r, N))
-        got = bound_sld(fm, prior=prior_fisher_gaussian(delta))
+        got = bound_sld(fm, delta=delta)
         d2 = delta * delta
         expected = 2 * (2 * N + 1) * d2 / (2 * N + 1 + 2 * d2 * np.cosh(2 * r))
         assert np.isclose(got, expected, rtol=1e-12)
@@ -66,14 +68,13 @@ def test_bound_sld_prior_formula():
 
 def test_bound_rld_examples():
     for delta in (1.0, 2.0, 3.0, 5.0):
-        got = bound_rld(gaussian_fisher(vacuum(1)),
-                        prior=prior_fisher_gaussian(delta))
+        got = bound_rld(gaussian_fisher(vacuum(1)), delta=delta)
         assert np.isclose(got, 2 * delta ** 2 / (1 + delta ** 2), atol=1e-12)
     fm = gaussian_fisher(make_tmst(0.8, 0.6))
     assert np.isclose(bound_rld(fm), closed_b_r(0.8, 0.6), rtol=1e-12)
     for delta in (1.0, 2.5):
         d2 = delta * delta
-        got = bound_rld(fm, prior=prior_fisher_gaussian(delta))
+        got = bound_rld(fm, delta=delta)
         N, r = 0.6, 0.8
         expected = 4 * N * (1 + N) * d2 / (
             2 * N * (1 + N) + d2 * ((2 * N + 1) * np.cosh(2 * r) - 1))
@@ -234,14 +235,14 @@ def test_scheme_never_beats_the_bound():
 
 
 def test_prior_limits():
-    big = prior_fisher_gaussian(1e6)
+    big = 1e6
     for r, N in [(0.3, 0.5), (0.8, 1.5)]:
         fm = gaussian_fisher(make_tmst(r, N))
-        assert np.isclose(bound_sld(fm, prior=big), bound_sld(fm), rtol=1e-5)
-        assert np.isclose(bound_rld(fm, prior=big), bound_rld(fm), rtol=1e-5)
+        assert np.isclose(bound_sld(fm, delta=big), bound_sld(fm), rtol=1e-5)
+        assert np.isclose(bound_rld(fm, delta=big), bound_rld(fm), rtol=1e-5)
         deltas = (0.5, 1.0, 2.0, 5.0, 20.0)
-        s_vals = [bound_sld(fm, prior=prior_fisher_gaussian(d)) for d in deltas]
-        r_vals = [bound_rld(fm, prior=prior_fisher_gaussian(d)) for d in deltas]
+        s_vals = [bound_sld(fm, delta=d) for d in deltas]
+        r_vals = [bound_rld(fm, delta=d) for d in deltas]
         assert np.all(np.diff(s_vals) > 0) and np.all(np.diff(r_vals) > 0)
 
 
@@ -261,7 +262,7 @@ def test_heisenberg_scaling():
 
 def test_singular_sld_bound_is_infinite():
     fm = gaussian_fisher(make_thermal(0.5, 1))
-    zero = type(fm)(H=np.zeros((2, 2)), j_inv=fm.j_inv, pure=False, mode=0)
+    zero = fm._replace(H=np.zeros((2, 2)))
     assert bound_sld(zero) == np.inf
 
 
@@ -303,6 +304,29 @@ def test_query_validation():
             BoundQuery(kind="tmst", r=1.0, N=1.0, shots=bad)
     for good in (1, 7, np.int64(3), np.uint8(2)):
         assert BoundQuery(kind="tmst", r=1.0, N=1.0, shots=good).shots == good
+
+
+def _fock_vacuum():
+    return build_probe_fock("single", 0.0, 0.0, dim=4, tail_tol=np.inf)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: empirical_K_min(0.5, 0.2, 1.0, 2000, [0.5, np.nan, 0.9]), "k_grid"),
+    (lambda: displace_fock(_fock_vacuum(), 0, np.nan, 0.0), "q0"),
+    (lambda: displace_fock(_fock_vacuum(), 0, 0.0, np.inf), "p0"),
+    (lambda: evaluate_bounds(*probe_fisher("tmst", 1.0, 0.5), shots=0), "shots"),
+    (lambda: bound_sld(gaussian_fisher(vacuum(1)), shots=0), "shots"),
+    (lambda: bound_rld(gaussian_fisher(vacuum(1)), shots=0), "shots"),
+    (lambda: duan_check(make_tmst(0.5, 0.5), a=np.nan), "a must be finite"),
+    (lambda: moments_fock(_fock_vacuum(), [[("q", 0), ("x", 0)]]), "q, p, a or adag"),
+])
+def test_bad_arguments_raise_at_entry(call, match):
+    """NaN, an infinite displacement, a zero shot count or an unknown operator
+    name is a ValueError naming the argument, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("r", [1e-160, 6.86e-159])
@@ -399,11 +423,11 @@ def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots)
     n2 = N2 if kind == "tmst_asym" else None
     b_s, b_r, b_mi, branch = evaluate_bounds(*probe_fisher(kind, r, N, n2),
                                              delta, G, shots)
-    fm = gaussian_fisher(BoundQuery(kind=kind, r=r, N=N, N2=n2).probe_state())
-    prior = None if delta is None else prior_fisher_gaussian(delta)
-    assert b_s == pytest.approx(bound_sld(fm, G, prior, shots), rel=1e-10)
-    pure = kind in ("tmst", "tmst_asym") and fm.pure
-    assert b_r == (0.0 if pure else pytest.approx(bound_rld(fm, G, prior, shots),
+    state = BoundQuery(kind=kind, r=r, N=N, N2=n2).probe_state()
+    fm = gaussian_fisher(state)
+    assert b_s == pytest.approx(bound_sld(fm, G, delta, shots), rel=1e-10)
+    pure = kind in ("tmst", "tmst_asym") and state.purity > 1.0 - 1e-9
+    assert b_r == (0.0 if pure else pytest.approx(bound_rld(fm, G, delta, shots),
                                                    rel=1e-10))
     assert b_mi == max(b_s, b_r)
     assert branch == ("RLD" if b_r > b_s else "SLD")
@@ -463,3 +487,42 @@ def test_singular_cases_of_the_entrywise_algebra():
         assert evaluate_bounds(-4.0 * np.eye(2), j_inv[0], 0.5)[0] == np.inf
     with pytest.raises(RLDUnavailableError):
         evaluate_bounds(H, -0.25 * np.eye(2, dtype=complex), 0.5)
+
+
+def _general_prior(H, j_inv, A):
+    """H + A and X = (J + A)^-1 for a general 2x2 prior Fisher matrix A, entry
+    by entry as X = (J^-1 + D adj A) / det K with D = det J^-1 and
+    det K = 1 + tr[J^-1 A] + D det A: the reference for the isotropic prior
+    algebra of evaluate_bounds, which must match it bit for bit."""
+    x = [j_inv[..., i, k] for i, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    a = A.ravel()
+    d = x[0] * x[3] - x[1] * x[2]
+    det = 1.0 + (a[0] * x[0] + a[1] * x[2] + a[2] * x[1] + a[3] * x[3]) \
+        + d * (a[0] * a[3] - a[1] * a[2])
+    adj = (a[3], -a[1], -a[2], a[0])
+    X = np.stack([(e + d * f) / det for e, f in zip(x, adj)], axis=-1)
+    return H + A, X.reshape(j_inv.shape)
+
+
+@pytest.mark.parametrize("delta", [1e-150, 1e-3, 1.0, 1e3, 1e300, np.inf])
+def test_isotropic_prior_matches_the_general_algebra(delta):
+    """The prior I/delta^2 through evaluate_bounds gives the same bits as the
+    general 2x2 algebra on stacked probe grids, for every weight and shot
+    count; where u = 1/delta^2 or u^2 leaves the float range both give the
+    same inf or nan."""
+    r, N = np.linspace(0.0, 3.0, 13)[:, None], np.array([0.0, 0.1, 1.0, 4.0])
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(13, 4, 2, 2))
+    weights = [None, np.array([[1.3, 0.2], [0.2, 0.7]]),
+               m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(2)]
+    with np.errstate(all="ignore"):
+        A = np.eye(2) / (delta * delta)
+        for kind, n2 in [("coherent", None), ("single", None), ("tmst", None),
+                         ("tmst_asym", 0.0), ("tmst_asym", 2.5)]:
+            fm = probe_fisher(kind, r, N, n2)
+            for G in weights:
+                for shots in (1, 7, 1000):
+                    got = evaluate_bounds(*fm, delta, G, shots)
+                    ref = evaluate_bounds(*_general_prior(*fm, A), None, G, shots)
+                    for g, f in zip(got, ref):
+                        np.testing.assert_array_equal(g, f, strict=True)

@@ -1,12 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dispest
 from dispest import cli, scheme_variance_sum
@@ -623,3 +629,98 @@ def test_no_command_and_not_the_fock_oracle_loads_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0]
     assert report["scipy"] == []
+
+
+# pools of the CLI contract test by value type, as (ordinary values, edge
+# values); --shots and --steps are capped here so that one draw stays cheap
+_FLOATS = (["0", "0.3", "1", "2.5"],
+           ["-0", "-1", "5e-324", "1e-154", "1e154", "1e-300", "1e300", "-1e300",
+            "355", "360", "nan", "inf", "-inf", "1" * 30, "9" * 400, ""])
+_INTS = (["1", "2", "7"], ["0", "-1", "1" * 30, "9" * 400, "nan", "1.5", ""])
+_CAPPED = {"shots": (["100", "1000", "2000"], ["99", "0", "-1", "1e3", ""]),
+           "steps": (["2", "5", "60"], ["1", "0", "-3", "nan", ""])}
+_LISTS = (["1,0,1", "2,0.5,1", "0.01,0.02", "0.5", "1,2,3"],
+          ["1e300,0,1e300", "5e-324,0,5e-324", "1,,2", "nan,1,1", "-1,0", "a,b", ",", ""])
+_STRINGS = {"scaling": (["none", "coherent", "optimal", "K=0.5", "K=1"],
+                        ["K=0", "K=-1", "K=nan", "K=", "K=1e300", "bogus"])}
+
+
+def _argv(data, out_dir):
+    """One argv drawn from build_parser()'s own actions: a subcommand, its
+    required options and each other option with probability 1/4, with values
+    drawn half from the ordinary and half from the edge values of the
+    option's type."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    name = data.draw(st.sampled_from(sorted(sub.choices)))
+    argv = [name]
+    for action in sub.choices[name]._actions:
+        if isinstance(action, argparse._HelpAction) or action.option_strings \
+                and not action.required and data.draw(st.integers(0, 3)) < 3:
+            continue
+        if action.choices is not None:
+            pool = (list(action.choices),) * 2
+        elif action.dest in ("out", "dump_shots"):
+            pool = ([os.path.join(out_dir, "out" if name == "figure" else "out.csv")],) * 2
+        elif action.type is int:
+            pool = _CAPPED.get(action.dest, _INTS)
+        elif action.type is cli.finite:
+            pool = _FLOATS
+        else:
+            pool = _STRINGS.get(action.dest, _LISTS)
+        values = [] if action.nargs == 0 else [
+            data.draw(st.sampled_from(pool[data.draw(st.booleans())]))]
+        argv += action.option_strings[:1] + values
+    return argv
+
+
+def _no_constant(text):
+    raise AssertionError(f"{text} in JSON output")
+
+
+def _check_csv(text):
+    """Every number after the header is finite, and the config has no NaN."""
+    lines = text.splitlines()
+    config = next(line for line in lines if line.startswith("# config: "))
+    json.loads(config[len("# config: "):], parse_constant=_no_constant)
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+def test_cli_contract(tmp_path, monkeypatch):
+    """Every argv exits 0, 2 or 3 with no warning and no traceback: on 0 its
+    JSON and CSV hold finite numbers only, on 2 or 3 stderr is one line.  At
+    least a third of the draws exit 0, so more than the parser is run."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DISPEST_OUTPUT_DIR", raising=False)
+    codes = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def run(data):
+        out_dir = tempfile.mkdtemp(dir=tmp_path)
+        argv = _argv(data, out_dir)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        codes.append(code)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            return
+        assert err == "", (argv, err)
+        if out.startswith("{"):
+            json.loads(out, parse_constant=_no_constant)
+        elif out.startswith("#"):
+            _check_csv(out)
+        for path in [line for line in out.splitlines() if line.startswith(out_dir)] + [
+                os.path.join(out_dir, "out.csv")]:
+            if os.path.isfile(path):
+                with open(path) as fh:
+                    _check_csv(fh.read())
+
+    run()
+    assert 3 * codes.count(0) >= len(codes), {c: codes.count(c) for c in set(codes)}

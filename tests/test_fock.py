@@ -227,7 +227,7 @@ def test_auto_escalation():
 
 
 def test_convergence_helper():
-    H, J = fock_fisher_converged("tmst", 0.3, 0.5, tol=1e-8)
+    H, J = fock_fisher_converged("tmst", 0.3, 0.5)
     fm = gaussian_fisher(make_tmst(0.3, 0.5))
     assert np.allclose(H, fm.H, rtol=1e-6)
     assert np.allclose(np.linalg.inv(J), fm.j_inv, rtol=1e-6)
@@ -355,6 +355,18 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
     assert 0.0 < err.value.tail_mass
     with pytest.raises(TruncationError):
         build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
+    # truncation arguments: dim and max_dim integers >= 2, tail_tol > 0
+    for bad in ({"dim": 0}, {"dim": 1}, {"dim": 2.5}, {"dim": -3}, {"dim": True},
+                {"max_dim": 1}, {"max_dim": 100.0}, {"tail_tol": 0.0},
+                {"tail_tol": -1.0}, {"tail_tol": np.nan}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            build_probe_fock("tmst", 0.5, 0.5, **bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            fock_fisher_converged("tmst", 0.5, 0.5, **bad)
+    for good in ({"dim": np.int64(12)}, {"max_dim": np.int32(50)},
+                 {"dim": 12, "tail_tol": np.inf}):
+        with pytest.raises(AssertionError, match="a probe was built"):
+            build_probe_fock("tmst", 0.5, 0.5, **good)
 
 
 @pytest.mark.parametrize("args", [("single", np.nan, 0.5), ("single", 0.5, np.nan),
