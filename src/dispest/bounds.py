@@ -21,10 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import (GaussianState, _tmst_form, check_probe,
+from .gaussian import (GaussianState, _check_count, _tmst_form, check_probe,
                        make_squeezed_thermal, make_tmst, symplectic_form, vacuum)
-
-_KINDS = ("coherent", "single", "tmst", "tmst_asym")
 
 
 class RLDUnavailableError(RuntimeError):
@@ -42,20 +40,14 @@ class FisherMatrices(NamedTuple):
     j_inv: np.ndarray
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """An integer of at least `least`; numpy integers pass, bool does not."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}")
-
-
 @dataclass(frozen=True)
 class BoundQuery:
     """Probe family plus estimation context for a bound evaluation.
 
-    kind is one of 'coherent', 'single', 'tmst', 'tmst_asym'.  delta is the
-    standard deviation of the Gaussian prior on each parameter (None for a
-    flat prior), weight a 2x2 positive definite matrix (None means identity),
-    shots the number of independent repetitions M.
+    kind is one of gaussian.PROBE_KINDS, with N2 for 'tmst_asym' only.  delta
+    is the standard deviation of the Gaussian prior on each parameter (None
+    for a flat prior), weight a 2x2 positive definite matrix (None means
+    identity), shots the number of independent repetitions M.
     """
 
     kind: str
@@ -67,11 +59,7 @@ class BoundQuery:
     shots: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown probe kind '{self.kind}'")
-        if self.kind == "tmst_asym" and self.N2 is None:
-            raise ValueError("tmst_asym needs N2")
-        check_probe(self.r, self.N, self.N2)
+        check_probe(self.r, self.N, self.N2, self.kind)
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("prior width must be positive and finite")
         _check_count("shots", self.shots, 1)
@@ -154,9 +142,7 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> FisherMatrices:
     r -> 0+ limit: J^-1 jumps where a mode turns pure), or the pure-probe
     value zero when N1 = 0 too.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown probe kind '{kind}'")
-    check_probe(r, N, N2)
+    check_probe(r, N, N2, kind)
     return FisherMatrices(*_probe_fisher(kind, r, N, N2))
 
 
@@ -302,16 +288,12 @@ def _thresholds(N) -> tuple[float, float]:
     return float(r_ths), float(r_sql)
 
 
-def scheme_variance_sum(r, N, jitter: tuple[float, float] | None = None, N2=None):
+def scheme_variance_sum(r, N, N2=None):
     """Variance sum 2(N + N2 + 1)e^{-2r} of the double-homodyne scheme, which
     is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
-    and N2.  Gaussian displacement jitter (dq^2, dp^2) adds its variances."""
+    and N2."""
     check_probe(r, N, N2)
-    return _scheme_variance_sum(r, N, jitter, N2)
-
-
-def _scheme_variance_sum(r, N, jitter=None, N2=None):
-    return _tmst_form(r, N, N2).E + (sum(jitter) if jitter is not None else 0.0)
+    return _tmst_form(r, N, N2).E
 
 
 def gap_D(r, N):
@@ -330,7 +312,7 @@ def _gap_D(r, N):
     with np.errstate(invalid="ignore"):  # B_R is 0/0 only at r = N = 0
         b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * c - 1.0)
     b_mi = np.fmax(b_s, b_r)
-    E = _scheme_variance_sum(r, N)
+    E = _tmst_form(r, N).E
     return ((E - b_mi) / b_mi)[()]
 
 
@@ -398,7 +380,7 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
         r_ths = r_sql = scheme_variance = gap = None
         if query.kind == "tmst":
             r_ths, r_sql = _thresholds(query.N)
-            scheme_variance = _scheme_variance_sum(query.r, query.N)
+            scheme_variance = _tmst_form(query.r, query.N).E
             if query.delta is None and query.weight is None and query.shots == 1:
                 gap = _gap_D(query.r, query.N)
     check_in_range(query.r, H, j_inv,

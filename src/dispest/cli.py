@@ -156,9 +156,8 @@ def cmd_simulate(args) -> int:
             scaling=_parse_scaling(args.scaling), jitter=jitter, workers=args.workers)
     except ValueError as exc:
         raise UsageError(str(exc))
-    kind = "coherent" if args.baseline else "tmst" if cfg.N2 is None else "tmst_asym"
     bound = bound_most_informative(BoundQuery(  # before the run: it may exit 3
-        kind=kind, r=cfg.r or 0.0, N=cfg.N or 0.0, N2=cfg.N2,
+        kind=cfg.kind, r=cfg.r or 0.0, N=cfg.N or 0.0, N2=cfg.N2,
         delta=cfg.prior_delta)).b_mi
     runner = run_baseline_heterodyne if args.baseline else run_scheme
     result = runner(cfg, record_shots=args.dump_shots is not None)

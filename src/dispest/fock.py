@@ -29,7 +29,7 @@ _STACK_BYTES, so that per-call overhead does not dominate; each block is
 copied out of its stack.  Every other probe, such as a displaced one
 (displace_fock), takes one dense route: one eigendecomposition of rho, the
 full T of both generators in its eigenbasis, and the SLD and RLD sums over
-all eigenpairs, the RLD with rho^-1 on the eigenvalues above an inverse floor.
+all eigenpairs, the RLD with rho^-1 on the eigenvalues above _INV_FLOOR.
 The oracle needs numpy alone: the squeezer blocks and the displacement come
 from np.linalg.eigh, so that no second linear-algebra library is loaded.
 """
@@ -41,14 +41,13 @@ from math import ceil
 
 import numpy as np
 
-from .bounds import _check_count
-from .gaussian import _tmst_form, check_probe
+from .gaussian import _check_count, _tmst_form, check_probe
 
 _SQRT2 = np.sqrt(2.0)
 
 DEFAULT_TAIL_TOL = 1e-10
 _SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
-DEFAULT_INV_FLOOR = 1e-10  # dense route: eigenvalues below this are outside the rho^-1 support
+_INV_FLOOR = 1e-12      # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
 _CONVERGED_TOL = 1e-8   # fock_fisher_converged: largest leakage and drift accepted
 _STACK_BYTES = 1 << 17  # one zero-padded stack of blocks (_groups)
@@ -197,9 +196,6 @@ class FockOperatorSet:
     blocks: list | None = field(default=None, repr=False)
     log_probs: np.ndarray | None = field(default=None, repr=False)
 
-    q = property(lambda self: quadratures(self.dim)[0], doc="q on one mode")
-    p = property(lambda self: quadratures(self.dim)[1], doc="p on one mode")
-
     def _block_states(self) -> list:
         """Fock indices of the rows of each eigenvector block, and the log
         probabilities of its columns."""
@@ -292,7 +288,7 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
     ----------
     kind : {'single', 'tmst', 'tmst_asym'}
         Single-mode squeezed thermal, symmetric two-mode squeezed thermal, or
-        asymmetric two-mode squeezed thermal (needs N2).
+        asymmetric two-mode squeezed thermal (N2 given for it and only for it).
     dim : int, optional
         Per-mode truncation; defaults to the smallest dim whose analytic tail
         bound is below tail_tol (TruncationError, before building, if that is
@@ -301,18 +297,18 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         Maximum probability allowed in the top 10% of Fock levels, measured
         on the built probe; the truncation escalates until this holds, and
         stops with TruncationError at max_dim (default 600 for one mode, 420
-        for two).  With tail_tol = inf nothing is measured.
+        for two).  With tail_tol = inf nothing is measured, and dim is needed.
     """
-    if kind not in ("single", "tmst", "tmst_asym"):
-        raise ValueError(f"unknown probe kind '{kind}'")
-    if kind == "tmst_asym" and N2 is None:
-        raise ValueError("tmst_asym needs N2")
-    check_probe(r, N, N2)
+    check_probe(r, N, N2, kind)
+    if kind == "coherent":
+        raise ValueError("the Fock oracle builds no coherent probe")
     for name, value in (("dim", dim), ("max_dim", max_dim)):
         if value is not None:
             _check_count(name, value, 2)
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
+    if tail_tol == np.inf and dim is None:
+        raise ValueError("tail_tol = inf measures no tail, so it needs dim")
     if max_dim is None:
         max_dim = 600 if kind == "single" else 420
     if dim is None:
@@ -463,8 +459,7 @@ def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
     return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
 
 
-def _fisher(probe: FockOperatorSet, mode: int, rld: bool,
-            inv_floor: float = DEFAULT_INV_FLOOR):
+def _fisher(probe: FockOperatorSet, mode: int, rld: bool):
     """H and J (None unless rld): _fisher_pass for built probes, otherwise the
     dense sums over all eigenpairs of rho, with G_q0 = p and G_p0 = -q."""
     if probe.blocks is not None:
@@ -478,13 +473,13 @@ def _fisher(probe: FockOperatorSet, mode: int, rld: bool,
     ps, pt = eigs[:, None], eigs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(ps + pt > _SLD_PAIR_TOL, ps * ((ps - pt) / (ps + pt)) ** 2, 0.0)
-        R = np.where(ps > inv_floor, (ps - pt) ** 2 / ps, 0.0)
+        R = np.where(ps > _INV_FLOOR, (ps - pt) ** 2 / ps, 0.0)
     np.fill_diagonal(w, 0.0)
     H = np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in gens]
                   for x in gens])
     if not rld:
         return H, None
-    if np.count_nonzero(eigs > inv_floor) < 2:
+    if np.count_nonzero(eigs > _INV_FLOOR) < 2:
         raise PureStateError("RLD undefined for pure states")
     J = np.array([[np.sum(R * (x * y.T)) for y in gens] for x in gens])
     return H, 0.5 * (J + J.conj().T)
@@ -501,16 +496,15 @@ def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarr
     return _fisher(probe, displaced_mode, rld=False)[0]
 
 
-def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0,
-                    inv_floor: float = DEFAULT_INV_FLOOR) -> np.ndarray:
+def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
     """RLD Fisher matrix J, Hermitian.
 
     Built probes sum the thermal-adjacent pairs only (module docstring); the
-    dense route uses rho^-1 on the eigenvalues above inv_floor.  Raises
+    dense route uses rho^-1 on the eigenvalues above 1e-12.  Raises
     PureStateError when the probe has no inverse (pure or rank-deficient
     probes), in which case callers fall back to closed-form limits.
     """
-    return _fisher(probe, displaced_mode, rld=True, inv_floor=inv_floor)[1]
+    return _fisher(probe, displaced_mode, rld=True)[1]
 
 
 def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VACUUM_VARIANCE = 0.5
+PROBE_KINDS = ("coherent", "single", "tmst", "tmst_asym")
 
 # Tolerances scale with max(1, largest entry): entries ~e^{2r} carry rounding
 # of that size, which an absolute tolerance rejects once r passes a few units.
@@ -133,16 +133,31 @@ def _apply_block(state: GaussianState, block: np.ndarray,
         raise ValueError(f"target modes {targets} must be distinct")
     idx = np.r_[tuple(_mode_slice(state, t) for t in targets)]
     S = np.eye(2 * state.modes)
-    S[np.ix_(idx, idx)] = block
-    return SymplecticTransform(S, np.zeros(2 * state.modes)).apply(state)
+    S[np.ix_(idx, idx)] = block  # symplectic by construction: no check of S
+    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
 
 
-def check_probe(r=None, N=None, N2=None):
+def check_probe(r=None, N=None, N2=None, kind=None):
     """Squeezing r and thermal photon numbers N, N2 (None: not given) must be
-    finite and nonnegative, elementwise for arrays."""
+    finite and nonnegative, elementwise for arrays.  A kind must be one of
+    PROBE_KINDS; r and N are then given for every kind but 'coherent', and N2
+    for 'tmst_asym' and only there."""
+    if kind is not None:
+        if kind not in PROBE_KINDS:
+            raise ValueError(f"unknown probe kind '{kind}'")
+        if (kind == "tmst_asym") != (N2 is not None):
+            raise ValueError("N2 is required for tmst_asym and not allowed otherwise")
+        if kind != "coherent" and (r is None or N is None):
+            raise ValueError(f"a {kind} probe needs r and N")
     for value in (r, N, N2):
         if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
             raise ValueError("r and N must be finite and nonnegative")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """An integer of at least `least`; numpy integers pass, bool does not."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 def vacuum(modes: int = 1) -> GaussianState:

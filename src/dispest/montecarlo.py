@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_count, _scheme_variance_sum, scaling_factors
-from .gaussian import check_probe
+from .bounds import scaling_factors
+from .gaussian import _check_count, _tmst_form, check_probe
 
 _CHUNK = 1 << 15
 _SQRT2 = np.sqrt(2.0)
@@ -31,11 +31,12 @@ _PER_SHOT = ("q0", "p0", "outcome_q", "outcome_p", "estimate_q", "estimate_p")
 class EstimationConfig:
     """Configuration of one estimation experiment.
 
-    Either fix the true parameters (q0, p0) or set prior_delta to redraw them
-    each shot from the centered Gaussian prior.  scaling is the estimator
-    scaling K: 'none' (K = 1), 'coherent' (K_c), 'optimal' (K_min), or a
-    finite real number.  jitter adds Gaussian displacement noise with
-    variances (dq2, dp2).
+    r and N, with N2 for an asymmetric probe, set the two-mode probe; with
+    none of them the probe is the baseline's coherent state.  Either fix the
+    true parameters (q0, p0) or set prior_delta to redraw them each shot from
+    the centered Gaussian prior.  scaling is the estimator scaling K: 'none'
+    (K = 1), 'coherent' (K_c), 'optimal' (K_min), or a finite real number.
+    jitter adds Gaussian displacement noise with variances (dq2, dp2).
     """
 
     shots: int
@@ -51,7 +52,7 @@ class EstimationConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        check_probe(self.r, self.N, self.N2)
+        check_probe(self.r, self.N, self.N2, self.kind)
         k = None if isinstance(self.scaling, str) else self.scaling
         if k is not None and (type(k) is bool or not isinstance(
                 k, (int, float, np.integer, np.floating))):
@@ -80,6 +81,12 @@ class EstimationConfig:
             raise ValueError(f"scaling '{self.scaling}' needs prior_delta")
         if self.jitter is not None and (self.jitter[0] < 0 or self.jitter[1] < 0):
             raise ValueError("jitter variances must be nonnegative")
+
+    @property
+    def kind(self) -> str:
+        """The probe's kind: 'coherent' where none of r, N and N2 is given."""
+        return ("tmst_asym" if self.N2 is not None else
+                "coherent" if self.r is None and self.N is None else "tmst")
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,9 @@ def _quadrature_variance(cfg: EstimationConfig) -> float:
     variance is (N1 + N2 + 1)e^{-2r}/2, a quarter of the scheme variance sum
     (propagating the covariance gives the same up to ~e^{4r} epsilons).
     """
-    if cfg.r is None or cfg.N is None:
+    if cfg.kind == "coherent":
         raise ValueError("scheme runs need r and N")
-    return _scheme_variance_sum(cfg.r, cfg.N, N2=cfg.N2) / 4.0
+    return _tmst_form(cfg.r, cfg.N, cfg.N2).E / 4.0
 
 
 def _stream(cfg: EstimationConfig, c: int, buffers, div: float, sd: np.ndarray,

@@ -127,8 +127,6 @@ def test_thresholds():
 def test_scheme_variance_sum():
     assert scheme_variance_sum(0.0, 0.0) == 2.0
     assert np.isclose(scheme_variance_sum(1.0, 0.5), 4 * np.exp(-2))
-    assert np.isclose(scheme_variance_sum(1.0, 0.0, jitter=(0.1, 0.1)),
-                      2 * np.exp(-2) + 0.2)
     with pytest.raises(ValueError):
         scheme_variance_sum(-0.1, 0.0)
 
@@ -287,6 +285,10 @@ def test_query_validation():
         BoundQuery(kind="tmst", r=-0.2)
     with pytest.raises(ValueError):
         BoundQuery(kind="tmst_asym", r=0.2, N=0.1)
+    # N2 is given for tmst_asym and only there: a symmetric query with N2
+    # would report the asymmetric bounds beside the symmetric scheme variance
+    with pytest.raises(ValueError, match="N2"):
+        BoundQuery(kind="tmst", r=1.0, N=0.5, N2=3.0)
     with pytest.raises(ValueError):
         BoundQuery(kind="tmst", delta=0.0)
     with pytest.raises(ValueError):
@@ -315,6 +317,9 @@ def _fock_vacuum():
     (lambda: displace_fock(_fock_vacuum(), 0, np.nan, 0.0), "q0"),
     (lambda: displace_fock(_fock_vacuum(), 0, 0.0, np.inf), "p0"),
     (lambda: evaluate_bounds(*probe_fisher("tmst", 1.0, 0.5), shots=0), "shots"),
+    (lambda: probe_fisher("tmst_asym", 1.0, 0.5), "N2"),
+    (lambda: probe_fisher("single", 1.0, 0.5, 0.2), "N2"),
+    (lambda: probe_fisher("squeezed", 1.0, 0.5), "probe kind"),
     (lambda: bound_sld(gaussian_fisher(vacuum(1)), shots=0), "shots"),
     (lambda: bound_rld(gaussian_fisher(vacuum(1)), shots=0), "shots"),
     (lambda: duan_check(make_tmst(0.5, 0.5), a=np.nan), "a must be finite"),

@@ -107,6 +107,9 @@ def test_bounds_csv_format(capsys):
     ["simulate", "--shots", "1000", "--q0", "0", "--p0", "0"],
     ["simulate", "--baseline", "--r", "1", "--shots", "1000",
      "--q0", "0", "--p0", "0"],
+    # the baseline's coherent probe takes no N2
+    ["simulate", "--baseline", "--N2", "0.5", "--q0", "0", "--p0", "0",
+     "--shots", "1000"],
     ["simulate", "--r", "1", "--N", "0", "--shots", "1000", "--q0", "0",
      "--p0", "0", "--scaling", "bogus"],
     ["simulate", "--r", "1", "--N", "0", "--shots", "100", "--q0", "0",
@@ -643,20 +646,33 @@ _LISTS = (["1,0,1", "2,0.5,1", "0.01,0.02", "0.5", "1,2,3"],
           ["1e300,0,1e300", "5e-324,0,5e-324", "1,,2", "nan,1,1", "-1,0", "a,b", ",", ""])
 _STRINGS = {"scaling": (["none", "coherent", "optimal", "K=0.5", "K=1"],
                         ["K=0", "K=-1", "K=nan", "K=", "K=1e300", "bogus"])}
+# per command, groups of alternative option sets: each draw takes one set of
+# each group and leaves out the options of the others.  A simulate run needs
+# a probe (--r with --N, and maybe --N2, or --baseline) and true parameters
+# (--q0 with --p0, or --prior-delta).
+_BASES = {"simulate": ((("r", "N"), ("r", "N", "N2"), ("baseline",)),
+                       (("q0", "p0"), ("prior_delta",)))}
 
 
 def _argv(data, out_dir):
     """One argv drawn from build_parser()'s own actions: a subcommand, its
-    required options and each other option with probability 1/4, with values
-    drawn half from the ordinary and half from the edge values of the
-    option's type."""
+    required options, its _BASES options, and each other option with
+    probability 1/4, with values drawn half from the ordinary and half from
+    the edge values of the option's type."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     name = data.draw(st.sampled_from(sorted(sub.choices)))
+    base, left_out = set(), set()
+    for group in _BASES.get(name, ()):
+        chosen = data.draw(st.sampled_from(group))
+        base.update(chosen)
+        left_out.update(dest for options in group for dest in options)
+    left_out -= base
     argv = [name]
     for action in sub.choices[name]._actions:
-        if isinstance(action, argparse._HelpAction) or action.option_strings \
-                and not action.required and data.draw(st.integers(0, 3)) < 3:
+        if isinstance(action, argparse._HelpAction) or action.dest in left_out \
+                or action.option_strings and not action.required \
+                and action.dest not in base and data.draw(st.integers(0, 3)) < 3:
             continue
         if action.choices is not None:
             pool = (list(action.choices),) * 2
@@ -690,10 +706,11 @@ def _check_csv(text):
 def test_cli_contract(tmp_path, monkeypatch):
     """Every argv exits 0, 2 or 3 with no warning and no traceback: on 0 its
     JSON and CSV hold finite numbers only, on 2 or 3 stderr is one line.  At
-    least a third of the draws exit 0, so more than the parser is run."""
+    least a third of the draws exit 0, so more than the parser is run, and
+    so do some simulate draws."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("DISPEST_OUTPUT_DIR", raising=False)
-    codes = []
+    codes, simulated = [], []
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
@@ -707,6 +724,8 @@ def test_cli_contract(tmp_path, monkeypatch):
             code = cli.main(argv)
         out, err = out.getvalue(), err.getvalue()
         codes.append(code)
+        if argv[0] == "simulate":
+            simulated.append(code)
         assert code in (0, 2, 3), argv
         if code:
             assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
@@ -724,3 +743,4 @@ def test_cli_contract(tmp_path, monkeypatch):
 
     run()
     assert 3 * codes.count(0) >= len(codes), {c: codes.count(c) for c in set(codes)}
+    assert 0 in simulated, {c: simulated.count(c) for c in set(simulated)}

@@ -36,7 +36,8 @@ def test_probe_density_matrix_invariants():
 
 def test_commutator_on_bulk():
     probe = build_probe_fock("single", 0.0, 0.0, dim=30)
-    comm = probe.q @ probe.p - probe.p @ probe.q
+    q, p = fock.quadratures(probe.dim)
+    comm = q @ p - p @ q
     bulk = np.diag(comm)[:-1]
     assert np.allclose(bulk, 1j, atol=1e-12)
 
@@ -122,8 +123,8 @@ def test_entrywise_equivalence_with_gaussian_forms(r, N):
     assert np.allclose(j_inv, fm.j_inv, rtol=1e-6, atol=1e-8)
 
 
-# The dense route includes every pair and takes rho^-1 above an inverse
-# floor.  Its default floor (1e-10) biases J by ~1e-7 at these dims, and
+# The dense route includes every pair and takes rho^-1 above a fixed inverse
+# floor of 1e-12.  A floor of 1e-10 would bias J by ~1e-7 at these dims, and
 # floors below ~1e-13 let roundoff in far pairs through; at 1e-12 both stay
 # below the tolerance.
 # The tmst probe's dim (37) spans three groups of the grouped pass.
@@ -140,7 +141,7 @@ def group_count(dim):
 def test_adjacent_pass_matches_dense_route(kind, mode):
     probe = build_probe_fock(*PASS_PROBES[kind])
     assert kind != "tmst" or group_count(probe.dim) >= 3
-    H, J = fock._fisher(dense_copy(probe), mode, rld=True, inv_floor=1e-12)
+    H, J = fock._fisher(dense_copy(probe), mode, rld=True)
     assert np.allclose(sld_fisher_fock(probe, mode), H, atol=1e-9)
     assert np.allclose(rld_fisher_fock(probe, mode), J, atol=1e-8)
 
@@ -169,7 +170,7 @@ def test_fault_b_points_need_no_inverse_floor(kind, r, N):
     _, J, leakage = fock._fisher_pass(probe)
     assert leakage <= 1e-10
     assert np.abs(J - fock._fisher_pass(bigger)[1]).max() < 1e-8
-    assert np.array_equal(rld_fisher_fock(probe, inv_floor=0.5), J)
+    assert np.array_equal(rld_fisher_fock(probe), J)
     assert max(relative_errors(kind, r, N, *fock_fisher_converged(kind, r, N))) < 1e-9
 
 
@@ -193,7 +194,7 @@ def test_fisher_independent_of_displacement():
     probe = build_probe_fock("single", 0.3, 0.5, dim=70)
     moved = displace_fock(probe, 0, 0.7, -0.3)
     assert np.allclose(sld_fisher_fock(moved), sld_fisher_fock(probe), rtol=0, atol=1e-10)
-    assert np.allclose(rld_fisher_fock(moved, inv_floor=1e-12), rld_fisher_fock(probe),
+    assert np.allclose(rld_fisher_fock(moved), rld_fisher_fock(probe),
                        rtol=0, atol=1e-9)
 
 
@@ -345,6 +346,7 @@ def test_too_small_explicit_dim_still_escalates(tail_calls):
     assert probe.dim == tail_calls[-1] and probe.tail_mass() < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
 def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
     def no_build(*args):
         raise AssertionError("a probe was built")
@@ -355,10 +357,11 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
     assert 0.0 < err.value.tail_mass
     with pytest.raises(TruncationError):
         build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
-    # truncation arguments: dim and max_dim integers >= 2, tail_tol > 0
+    # truncation arguments: dim and max_dim integers >= 2, tail_tol > 0, and
+    # tail_tol = inf (no tail measured) only with a dim
     for bad in ({"dim": 0}, {"dim": 1}, {"dim": 2.5}, {"dim": -3}, {"dim": True},
                 {"max_dim": 1}, {"max_dim": 100.0}, {"tail_tol": 0.0},
-                {"tail_tol": -1.0}, {"tail_tol": np.nan}):
+                {"tail_tol": -1.0}, {"tail_tol": np.nan}, {"tail_tol": np.inf}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             build_probe_fock("tmst", 0.5, 0.5, **bad)
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -369,9 +372,14 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
             build_probe_fock("tmst", 0.5, 0.5, **good)
 
 
+# the last five break the kind rule: N2 for tmst_asym and only there, a
+# known kind, and no coherent probe in the oracle
 @pytest.mark.parametrize("args", [("single", np.nan, 0.5), ("single", 0.5, np.nan),
                                   ("tmst", np.inf, 0.5), ("tmst", 0.5, -0.1),
-                                  ("tmst_asym", 0.5, 0.5, np.nan)])
+                                  ("tmst_asym", 0.5, 0.5, np.nan),
+                                  ("single", 0.5, 0.5, 0.3), ("tmst", 0.5, 0.5, 0.3),
+                                  ("tmst_asym", 0.5, 0.5), ("squeezed", 0.5, 0.5),
+                                  ("coherent", 0.0, 0.0)])
 def test_bad_probe_parameters_raise_before_building(monkeypatch, args):
     def no_build(*_):
         raise AssertionError("a probe was built")

@@ -56,6 +56,15 @@ def test_config_validation():
             EstimationConfig(**{**base, field: -0.5})
     with pytest.raises(ValueError):
         EstimationConfig(shots=1000, seed=0, prior_delta=np.inf)
+    # r and N come together, and N2 only with them; none of them is the
+    # coherent baseline
+    for probe in ({"r": 1.0}, {"N": 0.5}, {"N2": 0.5}, {"r": 1.0, "N2": 0.5},
+                  {"N": 0.5, "N2": 0.5}):
+        with pytest.raises(ValueError, match="needs r and N"):
+            EstimationConfig(shots=1000, seed=0, q0=0.0, p0=0.0, **probe)
+    assert EstimationConfig(shots=1000, seed=0, q0=0.0, p0=0.0).kind == "coherent"
+    assert EstimationConfig(**base).kind == "tmst"
+    assert EstimationConfig(**base, N2=0.5).kind == "tmst_asym"
     with pytest.raises(ValueError):
         EstimationConfig(**base, jitter=(np.nan, 0.0))
     with pytest.raises(ValueError):
