@@ -44,10 +44,11 @@ class FisherMatrices(NamedTuple):
 class BoundQuery:
     """Probe family plus estimation context for a bound evaluation.
 
-    kind is one of gaussian.PROBE_KINDS, with N2 for 'tmst_asym' only.  delta
-    is the standard deviation of the Gaussian prior on each parameter (None
-    for a flat prior), weight a 2x2 positive definite matrix (None means
-    identity), shots the number of independent repetitions M.
+    kind is one of gaussian.PROBE_KINDS, with N2 for 'tmst_asym' only and no
+    r or N (other than 0) for 'coherent'.  delta is the standard deviation of
+    the Gaussian prior on each parameter (None for a flat prior), weight a 2x2
+    positive definite matrix (None means identity), shots the number of
+    independent repetitions M.
     """
 
     kind: str
@@ -59,6 +60,8 @@ class BoundQuery:
     shots: int = 1
 
     def __post_init__(self):
+        if self.kind == "coherent" and (self.r or self.N):
+            raise ValueError("a coherent probe takes no r or N")
         check_probe(self.r, self.N, self.N2, self.kind)
         if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("prior width must be positive and finite")
@@ -143,17 +146,18 @@ def probe_fisher(kind: str, r, N=0.0, N2=None) -> FisherMatrices:
     value zero when N1 = 0 too.
     """
     check_probe(r, N, N2, kind)
-    return FisherMatrices(*_probe_fisher(kind, r, N, N2))
+    h, j_inv = _probe_fisher(kind, r, N, N2)
+    return FisherMatrices(_mat(*h), _mat(*j_inv))
 
 
 def _probe_fisher(kind, r, N, N2):
-    """probe_fisher on checked inputs."""
+    """The entries (m00, m01, m10, m11) of H and of J^-1, as probe_fisher
+    stacks them, on checked inputs."""
     if kind == "coherent":
         r = N = np.zeros(np.broadcast(r, N).shape)
     if kind in ("coherent", "single"):
         e, nu1 = np.exp(2.0 * np.asarray(r, float)), np.asarray(N, float) + 0.5
-        return (_mat(1.0 / (nu1 * e), 0.0, 0.0, e / nu1),
-                _mat(nu1 * e, 0.5j, -0.5j, nu1 / e))
+        return (1.0 / (nu1 * e), 0.0, 0.0, e / nu1), (nu1 * e, 0.5j, -0.5j, nu1 / e)
     *_, nu1, nu2, p1, p2, ch2, sh2, t, sech2 = _tmst_form(r, N, N2)
     h = ch2 / nu1 + sh2 / nu2
     a = sech2 * (nu1 * p2 + t * nu2 * p1)
@@ -162,13 +166,16 @@ def _probe_fisher(kind, r, N, N2):
     product = (q == 0) & (p1 > 0)
     a, b = np.where(product, nu1, a), np.where(product, 1.0, b)
     q = np.where(product, 1.0, np.where(q > 0, q, np.inf))
-    return _mat(h, 0.0, 0.0, h), _mat(a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
+    return (h, 0.0, 0.0, h), (a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
 
 
-def _mat(m00, m01, m10, m11) -> np.ndarray:
-    """Stack four broadcastable entries into matrices of shape (..., 2, 2)."""
-    entries = np.broadcast_arrays(m00, m01, m10, m11)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+def _mat(*entries) -> np.ndarray:
+    """Matrices (..., 2, 2) from four broadcastable entries (m00, m01, m10, m11)."""
+    entries = [np.asarray(m) for m in entries]
+    shape = np.broadcast_shapes(*(m.shape for m in entries))
+    out = np.empty(shape + (2, 2), np.result_type(*entries))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
 
 
 def _entries(m):
@@ -189,11 +196,12 @@ def _trace_prod(G, x):
     return g[0] * x[0] + g[1] * x[2] + g[2] * x[1] + g[3] * x[3]
 
 
-def _sld(H, u, weight, shots):
-    """tr[G (H + uI)^-1] / M; +inf where |det(H + uI)| < 1e-300.  T = H + uI is
-    first divided by its largest entry s (at least 1e-300), so that det T
-    cannot overflow: tr[G T^-1] = tr[G adj T'] / (s det T') with T' = T/s."""
-    t = _entries(H if u is None else H + u * np.eye(2))
+def _sld(h, u, weight=None, shots=1):
+    """tr[G (H + uI)^-1] / M from the entries h of H; +inf where
+    |det(H + uI)| < 1e-300.  T = H + uI is first divided by its largest entry s
+    (at least 1e-300), so that det T cannot overflow: tr[G T^-1] =
+    tr[G adj T'] / (s det T') with T' = T/s."""
+    t = h if u is None else (h[0] + u, h[1], h[2], h[3] + u)
     s = np.maximum(np.maximum(abs(t[0]), abs(t[1])), np.maximum(abs(t[2]), abs(t[3])))
     s = np.maximum(s, 1e-300)
     t = tuple(e / s for e in t)
@@ -204,21 +212,36 @@ def _sld(H, u, weight, shots):
     return np.where(singular, np.inf, _trace_prod(weight, adj) / det) / shots
 
 
-def _rld(j_inv, u, weight, shots):
-    """(tr[G Re X] + tr|G Im X|) / M for the Hermitian part of X = (J + uI)^-1.
+def _rld(x, u, weight=None, shots=1):
+    """(tr[G Re X] + tr|G Im X|) / M for the Hermitian part of X = (J + uI)^-1,
+    from the entries x of J^-1.
 
     For 2x2 matrices X = (J^-1 + D u I) / det K with D = det J^-1 and
     det K = det(I + u J^-1) = 1 + u tr J^-1 + D u^2, which stays finite for
-    pure probes where J diverges.  The imaginary part of a Hermitian X is
-    [[0, w], [-w, 0]], so tr|G Im X| = |w| |G|_1 with the trace norm
-    |G|_1 = sqrt(|G|_F^2 + 2 |det G|) (2 for G = I)."""
-    x = _entries(j_inv)
+    pure probes where J diverges.  Where this det K leaves the float range
+    (D u^2 overflows for delta <~ 1e-77), both are divided through by u^k,
+    with k = 0, 1 or 2 the least that keeps them finite, and D u^2 taken as
+    (D u) u.  The imaginary part of a Hermitian X is [[0, w], [-w, 0]], so
+    tr|G Im X| = |w| |G|_1 with the trace norm |G|_1 = sqrt(|G|_F^2 + 2 |det G|)
+    (2 for G = I)."""
     if u is not None:
         d = _det(x)
-        det = 1.0 + (u * x[0] + u * x[3]) + d * (u * u)
-        if np.any(abs(det) < 1e-14):
+        with np.errstate(all="ignore"):  # the rescaled form replaces what overflows
+            det = 1.0 + (u * x[0] + u * x[3]) + d * (u * u)
+            num, floor = (x[0] + d * u, x[1], x[2], x[3] + d * u), 1e-14
+            wide = ~np.isfinite(det)
+            if np.any(wide):  # a = u^-k and b = u^(1-k)
+                v, du = 1.0 / u, d * u
+                k0, k1 = np.isfinite(1.0 + u * (x[0] + x[3]) + du * u), np.isfinite(du)
+                a = np.where(k0, 1.0, np.where(k1, v, v * v))
+                b = np.where(k0, u, np.where(k1, 1.0, v))
+                det = np.where(wide, a + b * (x[0] + x[3]) + (d * b) * u, det)
+                wide_num = (x[0] * a + d * b, x[1] * a, x[2] * a, x[3] * a + d * b)
+                num = tuple(np.where(wide, e, f) for e, f in zip(wide_num, num))
+                floor = np.where(wide, 1e-14 * a, floor)
+        if np.any(abs(det) < floor):
             raise RLDUnavailableError("RLD bound unavailable: singular J + A")
-        x = ((x[0] + d * u) / det, x[1] / det, x[2] / det, (x[3] + d * u) / det)
+        x = tuple(e / det for e in num)
     off = 0.5 * (x[1].real + x[2].real)
     w = abs(0.5 * (x[1].imag - x[2].imag))
     if weight is None:
@@ -228,6 +251,12 @@ def _rld(j_inv, u, weight, shots):
         norm = w * np.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2 + g[3] ** 2
                            + 2.0 * abs(_det(g)))
     return (_trace_prod(weight, (x[0].real, off, off, x[3].real)) + norm) / shots
+
+
+def _most_informative(b_s, b_r):
+    """B_MI = max(B_S, B_R), and where B_R is the larger (the 'RLD' branch)."""
+    rld = b_r > b_s
+    return np.where(rld, b_r, b_s), rld
 
 
 def _prior_weight(delta):
@@ -250,17 +279,17 @@ def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
     width (None: flat prior); the weight G may be stacked too."""
     _check_count("shots", shots, 1)
     u = _prior_weight(delta)
-    b_s = _sld(H, u, weight, shots)
-    b_r = _rld(j_inv, u, weight, shots)
-    rld = b_r > b_s
-    return b_s, b_r, np.where(rld, b_r, b_s), np.where(rld, "RLD", "SLD")
+    b_s = _sld(_entries(H), u, weight, shots)
+    b_r = _rld(_entries(j_inv), u, weight, shots)
+    b_mi, rld = _most_informative(b_s, b_r)
+    return b_s, b_r, b_mi, np.where(rld, "RLD", "SLD")
 
 
 def bound_sld(fm: FisherMatrices, weight: np.ndarray | None = None,
               delta: float | None = None, shots: int = 1) -> float:
     """SLD Cramer-Rao bound tr[G (H + I/delta^2)^-1] / M, flat for delta None; +inf if singular."""
     _check_count("shots", shots, 1)
-    return float(_sld(fm.H, _prior_weight(delta), weight, shots))
+    return float(_sld(_entries(fm.H), _prior_weight(delta), weight, shots))
 
 
 def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
@@ -268,7 +297,7 @@ def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
     """RLD Cramer-Rao bound (tr[G Re X] + tr|G Im X|) / M, X = (J + I/delta^2)^-1
     with delta as in bound_sld; finite from J^-1 for pure probes where J diverges."""
     _check_count("shots", shots, 1)
-    return float(_rld(fm.j_inv, _prior_weight(delta), weight, shots))
+    return float(_rld(_entries(fm.j_inv), _prior_weight(delta), weight, shots))
 
 
 def thresholds(N: float) -> tuple[float, float]:
@@ -362,6 +391,18 @@ def check_in_range(r, *values) -> None:
         raise ValueError(f"values at {at} are outside the floating-point range")
 
 
+def _probe_bounds(kind, r, N, N2, delta, weight=None, shots=1):
+    """B_S, B_R, B_MI and the RLD-branch mask of one probe point on checked
+    inputs; ValueError where a Fisher entry or a bound is outside the
+    floating-point range."""
+    with np.errstate(all="ignore"):  # values out of range raise below
+        h, j_inv = _probe_fisher(kind, r, N, N2)
+        u = _prior_weight(delta)
+        b_s, b_r = _sld(h, u, weight, shots), _rld(j_inv, u, weight, shots)
+    check_in_range(r, *h, *j_inv, b_s, b_r)
+    return (b_s, b_r) + _most_informative(b_s, b_r)
+
+
 def bound_most_informative(query: BoundQuery) -> BoundReport:
     """Evaluate B_S, B_R and B_MI = max(B_S, B_R) for a probe family.
 
@@ -373,18 +414,16 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
     r ~ 355).  The query was checked when it was built, so the private cores
     run here without a second check.
     """
-    with np.errstate(all="ignore"):  # values out of range raise below
-        H, j_inv = _probe_fisher(query.kind, query.r, query.N, query.N2)
-        b_s, b_r, b_mi, branch = evaluate_bounds(H, j_inv, query.delta, query.weight,
-                                                 query.shots)
-        r_ths = r_sql = scheme_variance = gap = None
-        if query.kind == "tmst":
+    b_s, b_r, b_mi, rld = _probe_bounds(query.kind, query.r, query.N, query.N2,
+                                        query.delta, query.weight, query.shots)
+    r_ths = r_sql = scheme_variance = gap = None
+    if query.kind == "tmst":
+        with np.errstate(all="ignore"):  # values out of range raise below
             r_ths, r_sql = _thresholds(query.N)
             scheme_variance = _tmst_form(query.r, query.N).E
             if query.delta is None and query.weight is None and query.shots == 1:
                 gap = _gap_D(query.r, query.N)
-    check_in_range(query.r, H, j_inv,
-                   [b_s, b_r] + [x for x in (scheme_variance, gap) if x is not None])
+        check_in_range(query.r, *(x for x in (scheme_variance, gap) if x is not None))
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
-                       branch=str(branch), r_ths=r_ths, r_sql=r_sql,
+                       branch="RLD" if rld else "SLD", r_ths=r_ths, r_sql=r_sql,
                        scheme_variance=scheme_variance, gap=gap)

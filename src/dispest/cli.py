@@ -18,10 +18,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     check_in_range, evaluate_bounds, gap_D, probe_fisher,
-                     scaling_factors, scheme_variance_sum)
+from .bounds import (BoundQuery, RLDUnavailableError, _gap_D, _most_informative,
+                     _prior_weight, _probe_bounds, _probe_fisher, _rld, _sld,
+                     bound_most_informative, check_in_range, scaling_factors)
 from .fock import PureStateError, TruncationError
+from .gaussian import _tmst_form
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
@@ -99,8 +100,6 @@ def _probe_query(args, r: float = 0.0, weight=None, shots: int = 1) -> BoundQuer
         if args.N1 is not None or args.N2 is not None:
             raise UsageError("--N1/--N2 are only valid with --probe tmst-asym")
         n, n2 = (args.N if args.N is not None else 0.0), None
-    if kind == "coherent" and (r != 0.0 or n != 0.0):
-        raise UsageError("a coherent probe takes no --r or --N")
     try:
         return BoundQuery(kind=kind, r=r, N=n, N2=n2, delta=args.delta,
                           weight=weight, shots=shots)
@@ -156,9 +155,8 @@ def cmd_simulate(args) -> int:
             scaling=_parse_scaling(args.scaling), jitter=jitter, workers=args.workers)
     except ValueError as exc:
         raise UsageError(str(exc))
-    bound = bound_most_informative(BoundQuery(  # before the run: it may exit 3
-        kind=cfg.kind, r=cfg.r or 0.0, N=cfg.N or 0.0, N2=cfg.N2,
-        delta=cfg.prior_delta)).b_mi
+    # B_MI before the run, so that a bound out of range exits 3 before sampling
+    bound = _probe_bounds(cfg.kind, cfg.r or 0.0, cfg.N or 0.0, cfg.N2, cfg.prior_delta)[2]
     runner = run_baseline_heterodyne if args.baseline else run_scheme
     result = runner(cfg, record_shots=args.dump_shots is not None)
 
@@ -173,7 +171,7 @@ def cmd_simulate(args) -> int:
         "se_mse_q", "se_mse_p", "se_mse_sum", "target_mse_sum")}
     results["z_vs_target"] = ((result.mse_sum - result.target_mse_sum) / result.se_mse_sum
                               if result.se_mse_sum > 0 else 0.0)
-    results["bound_mi"] = bound
+    results["bound_mi"] = float(bound)
     if args.dump_shots:
         shots = result.per_shot
         rows = zip(range(result.shots), shots["q0"], shots["p0"],
@@ -211,7 +209,7 @@ def cmd_figure(args) -> int:
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
         with np.errstate(all="ignore"):  # values out of range raise below
-            columns = [grid] + [gap_D(grid, n) for n in ns]
+            columns = [grid] + [_gap_D(grid, n) for n in ns]
         check_in_range(grid, *columns[1:])
         _write_csv(os.path.join(out, "fig2.csv"),
                    ["r", "D_N0", "D_N0.5", "D_N2"], _rows(columns), "figure", config)
@@ -225,14 +223,16 @@ def cmd_figure(args) -> int:
     if min(deltas) <= 0 or n_th < 0:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
     with np.errstate(all="ignore"):  # values out of range raise below
-        fisher = probe_fisher("tmst", grid, n_th)
-        var0 = scheme_variance_sum(grid, n_th) / 2.0
-    check_in_range(grid, *fisher, var0)  # a finite H keeps var0 > 0
+        h, j_inv = _probe_fisher("tmst", grid, n_th, None)
+        var0 = _tmst_form(grid, n_th).E / 2.0
+    check_in_range(grid, *h, *j_inv, var0)  # a finite H keeps var0 > 0
     figures = []
     for delta in deltas:  # every column is checked before any file is written
         with np.errstate(all="ignore"):  # a prior width whose square underflows
             factors = scaling_factors(var0, delta)
-            columns = [factors.mse_min, factors.mse_kc, evaluate_bounds(*fisher, delta)[2],
+            u = _prior_weight(delta)
+            b_mi = _most_informative(_sld(h, u), _rld(j_inv, u))[0]
+            columns = [factors.mse_min, factors.mse_kc, b_mi,
                        np.full_like(grid, 2.0 * factors.k_c)]
         check_in_range(grid, *columns)
         figures.append((delta, [grid] + columns))
@@ -246,8 +246,8 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _rows(columns) -> list:
-    return np.column_stack(columns).tolist()
+def _rows(columns):
+    return zip(*(column.tolist() for column in columns))
 
 
 def cmd_sweep(args) -> int:
@@ -262,13 +262,18 @@ def cmd_sweep(args) -> int:
     query = _probe_query(args)
     with np.errstate(all="ignore"):  # values out of range raise below
         if quantity in ("scheme_variance", "duan_lhs"):  # E is the Duan sum at a = 1
-            values = scheme_variance_sum(grid, query.N)
+            values = _tmst_form(grid, query.N).E
         elif quantity == "gap":
-            values = gap_D(grid, query.N)
-        else:
-            H, j_inv = probe_fisher(query.kind, grid, query.N, query.N2)
-            b_s, b_r, b_mi, _ = evaluate_bounds(H, j_inv, query.delta)
-            values = {"b_sld": b_s, "b_rld": b_r, "b_mi": b_mi}[quantity]
+            values = _gap_D(grid, query.N)
+        else:  # only the kernels the quantity needs
+            h, j_inv = _probe_fisher(query.kind, grid, query.N, query.N2)
+            u = _prior_weight(query.delta)
+            if quantity == "b_sld":
+                values = _sld(h, u)
+            elif quantity == "b_rld":
+                values = _rld(j_inv, u)
+            else:
+                values = _most_informative(_sld(h, u), _rld(j_inv, u))[0]
     check_in_range(grid, values)
 
     config = {"quantity": quantity, "probe": args.probe, "N": args.N,

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -5,6 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dispest import cli
+from dispest.bounds import (_mat, _most_informative, _prior_weight, _probe_fisher,
+                            _rld, _sld)
 from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
                      bound_rld, bound_sld, build_probe_fock, displace, displace_fock,
                      duan_check, empirical_K_min, evaluate_bounds, gap_D,
@@ -308,6 +315,36 @@ def test_query_validation():
         assert BoundQuery(kind="tmst", r=1.0, N=1.0, shots=good).shots == good
 
 
+def test_a_coherent_query_takes_no_r_or_N():
+    """A coherent query that records r or N would report the vacuum's bounds
+    for it; probe_fisher('coherent', r) keeps ignoring r, as sweeps need."""
+    for r, N in [(1.0, 2.0), (1.0, 0.0), (0.0, 2.0), (np.nan, 0.0)]:
+        with pytest.raises(ValueError, match="a coherent probe takes no r or N"):
+            BoundQuery(kind="coherent", r=r, N=N)
+    assert bound_most_informative(BoundQuery(kind="coherent", r=0.0, N=0.0)).b_mi == 2.0
+    H, _ = probe_fisher("coherent", np.linspace(0.0, 3.0, 4))
+    assert np.array_equal(H, np.broadcast_to(2.0 * np.eye(2), (4, 2, 2)))
+
+
+@pytest.mark.parametrize("delta", [1e-78, 1e-100, 1e-150])
+def test_narrow_priors_stay_finite(delta):
+    """Between delta ~ 1e-154, where u = 1/delta^2 overflows, and ~1e-77 the
+    term D u^2 of det K overflows; the rescaled form keeps B_R finite with no
+    warning: 2 delta^2 (1 + O(delta^2)) for mixed probes and the vacuum, and
+    zero for a pure two-mode probe."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, r, N, N2 in [("tmst", 1.0, 0.5, None), ("coherent", 0.0, 0.0, None),
+                               ("single", 0.5, 1e5, None), ("tmst_asym", 1.0, 2.0, 0.0)]:
+            b_s, b_r, b_mi, _ = evaluate_bounds(*probe_fisher(kind, r, N, N2), delta)
+            assert b_r == pytest.approx(2.0 * delta ** 2, rel=1e-14)
+            assert b_s == pytest.approx(2.0 * delta ** 2, rel=1e-14)
+            assert b_mi == max(b_s, b_r)
+        report = bound_most_informative(BoundQuery(kind="tmst", r=1.0, N=0.5, delta=delta))
+        assert report.b_rld == pytest.approx(2.0 * delta ** 2, rel=1e-14)
+        assert evaluate_bounds(*probe_fisher("tmst", 1.0, 0.0), delta)[1] == 0.0
+
+
 def _fock_vacuum():
     return build_probe_fock("single", 0.0, 0.0, dim=4, tail_tol=np.inf)
 
@@ -407,6 +444,120 @@ def _zero_or(lo, hi):
     return st.just(0.0) | st.floats(lo, hi)
 
 
+def _stacked(*entries):
+    """The stacking that _mat replaces: broadcast, stack and reshape."""
+    arrays = np.broadcast_arrays(*entries)
+    return np.stack(arrays, axis=-1).reshape(arrays[0].shape + (2, 2))
+
+
+@pytest.mark.parametrize("entries", [
+    (1.0, 0.0, 0.0, 2.0),
+    (np.float64(1.5), 0.5j, -0.5j, np.float64(2.5)),
+    (np.linspace(0.0, 1.0, 5), 0.0, 0.0, np.linspace(1.0, 2.0, 5)),
+    (np.linspace(0.0, 1.0, 5), 0.5j * np.arange(5.0), -0.5j, np.ones(5)),
+    (np.ones((3, 1)), 0.5j * np.ones(4), -0.5j, np.zeros((1, 4))),
+    (np.array([np.nan, np.inf]), -0.0, 0.0, np.array([[1.0], [-np.inf]])),
+], ids=["0-d", "0-d complex", "1-d", "1-d complex", "broadcast", "broadcast nonfinite"])
+def test_mat_matches_broadcast_and_stack(entries):
+    got, want = _mat(*entries), _stacked(*entries)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+
+
+def _cli_csv(argv):
+    """Exit code and data rows of an in-process dispest call that prints CSV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    lines = [x for x in out.getvalue().splitlines()[4:] if x]
+    return code, np.array([[float(v) for v in x.split(",")] for x in lines])
+
+
+def _all_finite(*values):
+    return all(np.isfinite(v).all() for v in values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["coherent", "single", "tmst", "tmst_asym"]),
+       r_max=st.floats(0.01, 400.0), steps=st.integers(2, 30),
+       N=_zero_or(1e-8, 50.0) | st.just(1e77), N2=_zero_or(1e-8, 50.0),
+       delta=st.none() | st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.9),
+                                   st.integers(-77, 299)),
+       g=st.none() | st.tuples(st.floats(0.2, 3.0), st.floats(-0.9, 0.9),
+                               st.floats(0.2, 3.0)),
+       shots=st.integers(1, 1000))
+def test_entry_route_matches_the_stacked_route(kind, r_max, steps, N, N2, delta, g,
+                                               shots):
+    """The entry tuples of _probe_fisher through the kernels give the same
+    bits, NaN and inf included, as the stacked FisherMatrices through
+    evaluate_bounds; so do the sweep values, the fig3 B_MI column and the
+    bound_most_informative fields, where the command or query succeeds, and
+    they fail exactly where a value they check is out of range."""
+    grid = np.linspace(0.0, r_max, steps)
+    n2 = N2 if kind == "tmst_asym" else None
+    G = None if g is None else np.array([[g[0], g[1] * np.sqrt(g[0] * g[2])],
+                                         [g[1] * np.sqrt(g[0] * g[2]), g[2]]])
+    with np.errstate(all="ignore"):
+        fm = probe_fisher(kind, grid, N, n2)
+        ref = evaluate_bounds(*fm, delta, G, shots)
+        flat = evaluate_bounds(*fm, delta)
+        h, j_inv = _probe_fisher(kind, grid, N, n2)
+        u = _prior_weight(delta)
+        b_s, b_r = _sld(h, u, G, shots), _rld(j_inv, u, G, shots)
+        b_mi, rld = _most_informative(b_s, b_r)
+    for got, want in [(fm.H, _stacked(*h)), (fm.j_inv, _stacked(*j_inv))]:
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    for got, want in zip((b_s, b_r, b_mi), ref):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.where(rld, "RLD", "SLD"), ref[3])
+
+    probe = kind.replace("_", "-")
+    args = ["--r-min", "0", "--r-max", repr(r_max), "--steps", str(steps)]
+    args += (["--N1", repr(N), "--N2", repr(N2)] if kind == "tmst_asym"
+             else [] if kind == "coherent" else ["--N", repr(N)])
+    args += [] if delta is None else ["--delta", repr(delta)]
+    for quantity, want in zip(("b_sld", "b_rld", "b_mi"), flat):
+        code, rows = _cli_csv(["sweep", "--quantity", quantity, "--probe", probe, *args])
+        assert code == (0 if _all_finite(want) else 3)
+        if code == 0:
+            assert np.array_equal(rows[:, 1], want)
+
+    if kind == "tmst":
+        fig_delta = 1.0 if delta is None else delta
+        with np.errstate(all="ignore"):
+            want = evaluate_bounds(*fm, fig_delta)[2]
+            var0 = scheme_variance_sum(grid, N) / 2.0
+        with tempfile.TemporaryDirectory() as out:
+            code, _ = _cli_csv(["figure", "fig3", "--N", repr(N), "--deltas", repr(fig_delta),
+                                "--out", out, *args[:6]])
+            assert code == (0 if _all_finite(*fm, want, var0) else 3)
+            if code == 0:
+                rows = np.loadtxt(os.path.join(out, os.listdir(out)[0]), delimiter=",",
+                                  comments="#", skiprows=4, ndmin=2)
+                assert np.array_equal(rows[:, 3], want)
+
+    for i in range(0, steps, max(1, steps // 4)):
+        query = (BoundQuery(kind="coherent", delta=delta, weight=G, shots=shots)
+                 if kind == "coherent" else
+                 BoundQuery(kind=kind, r=grid[i], N=N, N2=n2, delta=delta, weight=G,
+                            shots=shots))
+        checked = [fm.H[i], fm.j_inv[i], ref[0][i], ref[1][i]]
+        if kind == "tmst":
+            with np.errstate(all="ignore"):
+                checked.append(scheme_variance_sum(grid[i], N))
+                if delta is None and G is None and shots == 1:
+                    checked.append(gap_D(grid[i], N))
+        try:
+            report = bound_most_informative(query)
+        except ValueError:
+            assert not _all_finite(*checked)
+            continue
+        assert _all_finite(*checked)
+        assert (report.b_sld, report.b_rld, report.b_mi, report.branch) == \
+            (ref[0][i], ref[1][i], ref[2][i], ref[3][i])
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["coherent", "single", "tmst", "tmst_asym"]),
        r=_zero_or(0.0, 2.0), N=_zero_or(0.05, 3.0), N2=_zero_or(0.05, 3.0),
@@ -428,7 +579,8 @@ def test_batched_layer_matches_covariance_route(kind, r, N, N2, delta, g, shots)
     n2 = N2 if kind == "tmst_asym" else None
     b_s, b_r, b_mi, branch = evaluate_bounds(*probe_fisher(kind, r, N, n2),
                                              delta, G, shots)
-    state = BoundQuery(kind=kind, r=r, N=N, N2=n2).probe_state()
+    state = (BoundQuery(kind=kind) if kind == "coherent"
+             else BoundQuery(kind=kind, r=r, N=N, N2=n2)).probe_state()
     fm = gaussian_fisher(state)
     assert b_s == pytest.approx(bound_sld(fm, G, delta, shots), rel=1e-10)
     pure = kind in ("tmst", "tmst_asym") and state.purity > 1.0 - 1e-9
@@ -498,14 +650,30 @@ def _general_prior(H, j_inv, A):
     """H + A and X = (J + A)^-1 for a general 2x2 prior Fisher matrix A, entry
     by entry as X = (J^-1 + D adj A) / det K with D = det J^-1 and
     det K = 1 + tr[J^-1 A] + D det A: the reference for the isotropic prior
-    algebra of evaluate_bounds, which must match it bit for bit."""
+    algebra of evaluate_bounds, which must match it bit for bit.  Where det K
+    leaves the float range, both are divided through by c^k with c the largest
+    entry of A and k = 0, 1 or 2 the least that keeps them finite; with
+    A = c A', det A = c^2 det A' and adj A = c adj A'."""
     x = [j_inv[..., i, k] for i, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
     a = A.ravel()
     d = x[0] * x[3] - x[1] * x[2]
     det = 1.0 + (a[0] * x[0] + a[1] * x[2] + a[2] * x[1] + a[3] * x[3]) \
         + d * (a[0] * a[3] - a[1] * a[2])
-    adj = (a[3], -a[1], -a[2], a[0])
-    X = np.stack([(e + d * f) / det for e, f in zip(x, adj)], axis=-1)
+    num = [e + d * f for e, f in zip(x, (a[3], -a[1], -a[2], a[0]))]
+    wide = ~np.isfinite(det)
+    if np.any(wide):
+        c = np.abs(a).max()
+        p = a / c  # the entries of A'
+        tr = p[0] * x[0] + p[1] * x[2] + p[2] * x[1] + p[3] * x[3]
+        det_c = (p[0] * p[3] - p[1] * p[2]) * c
+        k0 = np.isfinite(1.0 + c * tr + (d * c) * det_c)
+        k1 = np.isfinite(d * c)
+        lo = np.where(k0, 1.0, np.where(k1, 1.0 / c, (1.0 / c) * (1.0 / c)))  # c^-k
+        hi = np.where(k0, c, np.where(k1, 1.0, 1.0 / c))  # c^(1-k)
+        det = np.where(wide, lo + hi * tr + (d * hi) * det_c, det)
+        num = [np.where(wide, e * lo + (d * hi) * f, g)
+               for e, f, g in zip(x, (p[3], -p[1], -p[2], p[0]), num)]
+    X = np.stack([e / det for e in num], axis=-1)
     return H + A, X.reshape(j_inv.shape)
 
 
@@ -513,8 +681,8 @@ def _general_prior(H, j_inv, A):
 def test_isotropic_prior_matches_the_general_algebra(delta):
     """The prior I/delta^2 through evaluate_bounds gives the same bits as the
     general 2x2 algebra on stacked probe grids, for every weight and shot
-    count; where u = 1/delta^2 or u^2 leaves the float range both give the
-    same inf or nan."""
+    count.  At delta = 1e-150, where u^2 leaves the float range, both take the
+    rescaled form and stay finite."""
     r, N = np.linspace(0.0, 3.0, 13)[:, None], np.array([0.0, 0.1, 1.0, 4.0])
     rng = np.random.default_rng(17)
     m = rng.normal(size=(13, 4, 2, 2))
@@ -531,3 +699,4 @@ def test_isotropic_prior_matches_the_general_algebra(delta):
                     ref = evaluate_bounds(*_general_prior(*fm, A), None, G, shots)
                     for g, f in zip(got, ref):
                         np.testing.assert_array_equal(g, f, strict=True)
+                    assert np.all(np.isfinite(got[1])) or delta != 1e-150

@@ -412,6 +412,39 @@ def test_narrow_priors_exit_3(capsys, tmp_path, args):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["bounds", "--probe", "tmst", "--r", "1", "--N", "0.5", "--delta", "1e-100"],
+    ["sweep", "--quantity", "b_rld", "--N", "0.5", "--delta", "1e-150", "--steps", "3"],
+    ["simulate", "--r", "1", "--N", "0.5", "--prior-delta", "1e-78", "--scaling",
+     "coherent", "--shots", "1000"],
+], ids=["bounds", "sweep", "simulate"])
+def test_narrow_priors_above_the_overflow_exit_0(capsys, args):
+    """Where 1/delta^2 is finite but D/delta^4 overflows (1e-154 < delta < 1e-77)
+    the bounds are finite, B_R ~ 2 delta^2: exit 0 with no warning."""
+    delta = float(args[args.index("--delta" if "--delta" in args else "--prior-delta") + 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, args)
+    assert code == 0 and err == ""
+    if args[0] == "bounds":
+        b_r = load_record(out)["results"]["b_rld"]
+    elif args[0] == "sweep":
+        b_r = float(out.splitlines()[-1].split(",")[1])
+    else:
+        b_r = load_record(out)["results"]["bound_mi"]
+    assert b_r == pytest.approx(2.0 * delta ** 2, rel=1e-14)
+
+
+def test_coherent_probe_with_r_or_N_exits_2(capsys):
+    """The rule lives in BoundQuery; the CLI reports its message."""
+    for args in (["--r", "0.5"], ["--N", "1"]):
+        code, out, err = run_cli(capsys, ["bounds", "--probe", "coherent", *args])
+        assert (code, out, err) == (2, "", "error: a coherent probe takes no r or N\n")
+    code, _, err = run_cli(capsys, ["sweep", "--quantity", "b_mi", "--probe", "coherent",
+                                    "--N", "0.5", "--steps", "3"])
+    assert (code, err) == (2, "error: a coherent probe takes no r or N\n")
+
+
 def test_fig3_where_the_scheme_form_overflows_inside(capsys, tmp_path):
     """At N = 1e77 and r = 355 the entries a, b of the standard form overflow
     while E and the Fisher matrices stay finite: exit 0 and no warning."""
