@@ -169,13 +169,10 @@ def _probe_fisher(kind, r, N, N2):
     return (h, 0.0, 0.0, h), (a / q, 0.5j * (b / q), -0.5j * (b / q), a / q)
 
 
-def _mat(*entries) -> np.ndarray:
-    """Matrices (..., 2, 2) from four broadcastable entries (m00, m01, m10, m11)."""
-    entries = [np.asarray(m) for m in entries]
-    shape = np.broadcast_shapes(*(m.shape for m in entries))
-    out = np.empty(shape + (2, 2), np.result_type(*entries))
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
-    return out
+def _mat(m00, m01, m10, m11) -> np.ndarray:
+    """Stack four broadcastable entries into matrices of shape (..., 2, 2)."""
+    entries = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 def _entries(m):
@@ -253,10 +250,13 @@ def _rld(x, u, weight=None, shots=1):
     return (_trace_prod(weight, (x[0].real, off, off, x[3].real)) + norm) / shots
 
 
-def _most_informative(b_s, b_r):
-    """B_MI = max(B_S, B_R), and where B_R is the larger (the 'RLD' branch)."""
+def _bounds(h, j_inv, delta, weight=None, shots=1):
+    """B_S, B_R, B_MI = max(B_S, B_R) and the mask where B_R is the larger (the
+    'RLD' branch), from the entries of H and J^-1 and the prior width delta."""
+    u = _prior_weight(delta)
+    b_s, b_r = _sld(h, u, weight, shots), _rld(j_inv, u, weight, shots)
     rld = b_r > b_s
-    return np.where(rld, b_r, b_s), rld
+    return b_s, b_r, np.where(rld, b_r, b_s), rld
 
 
 def _prior_weight(delta):
@@ -278,10 +278,7 @@ def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
     from stacked Fisher matrices (..., 2, 2).  delta is the Gaussian prior's
     width (None: flat prior); the weight G may be stacked too."""
     _check_count("shots", shots, 1)
-    u = _prior_weight(delta)
-    b_s = _sld(_entries(H), u, weight, shots)
-    b_r = _rld(_entries(j_inv), u, weight, shots)
-    b_mi, rld = _most_informative(b_s, b_r)
+    b_s, b_r, b_mi, rld = _bounds(_entries(H), _entries(j_inv), delta, weight, shots)
     return b_s, b_r, b_mi, np.where(rld, "RLD", "SLD")
 
 
@@ -397,10 +394,9 @@ def _probe_bounds(kind, r, N, N2, delta, weight=None, shots=1):
     floating-point range."""
     with np.errstate(all="ignore"):  # values out of range raise below
         h, j_inv = _probe_fisher(kind, r, N, N2)
-        u = _prior_weight(delta)
-        b_s, b_r = _sld(h, u, weight, shots), _rld(j_inv, u, weight, shots)
-    check_in_range(r, *h, *j_inv, b_s, b_r)
-    return (b_s, b_r) + _most_informative(b_s, b_r)
+        bounds = _bounds(h, j_inv, delta, weight, shots)
+    check_in_range(r, *h, *j_inv, *bounds[:2])
+    return bounds
 
 
 def bound_most_informative(query: BoundQuery) -> BoundReport:

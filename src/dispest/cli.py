@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundQuery, RLDUnavailableError, _gap_D, _most_informative,
-                     _prior_weight, _probe_bounds, _probe_fisher, _rld, _sld,
-                     bound_most_informative, check_in_range, scaling_factors)
+from .bounds import (BoundQuery, RLDUnavailableError, _bounds, _gap_D, _prior_weight,
+                     _probe_bounds, _probe_fisher, _rld, _sld, bound_most_informative,
+                     check_in_range, scaling_factors)
 from .fock import PureStateError, TruncationError
 from .gaussian import _tmst_form
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
@@ -230,9 +230,7 @@ def cmd_figure(args) -> int:
     for delta in deltas:  # every column is checked before any file is written
         with np.errstate(all="ignore"):  # a prior width whose square underflows
             factors = scaling_factors(var0, delta)
-            u = _prior_weight(delta)
-            b_mi = _most_informative(_sld(h, u), _rld(j_inv, u))[0]
-            columns = [factors.mse_min, factors.mse_kc, b_mi,
+            columns = [factors.mse_min, factors.mse_kc, _bounds(h, j_inv, delta)[2],
                        np.full_like(grid, 2.0 * factors.k_c)]
         check_in_range(grid, *columns)
         figures.append((delta, [grid] + columns))
@@ -267,13 +265,11 @@ def cmd_sweep(args) -> int:
             values = _gap_D(grid, query.N)
         else:  # only the kernels the quantity needs
             h, j_inv = _probe_fisher(query.kind, grid, query.N, query.N2)
-            u = _prior_weight(query.delta)
-            if quantity == "b_sld":
-                values = _sld(h, u)
-            elif quantity == "b_rld":
-                values = _rld(j_inv, u)
+            if quantity == "b_mi":
+                values = _bounds(h, j_inv, query.delta)[2]
             else:
-                values = _most_informative(_sld(h, u), _rld(j_inv, u))[0]
+                u = _prior_weight(query.delta)
+                values = _sld(h, u) if quantity == "b_sld" else _rld(j_inv, u)
     check_in_range(grid, values)
 
     config = {"quantity": quantity, "probe": args.probe, "N": args.N,

@@ -126,7 +126,11 @@ def _quadrature_variance(cfg: EstimationConfig) -> float:
     """
     if cfg.kind == "coherent":
         raise ValueError("scheme runs need r and N")
-    return _tmst_form(cfg.r, cfg.N, cfg.N2).E / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):  # only E is read
+        var = _tmst_form(cfg.r, cfg.N, cfg.N2).E / 4.0
+    if not np.isfinite(var):
+        raise ValueError("the quadrature variance is outside the floating-point range")
+    return var
 
 
 def _stream(cfg: EstimationConfig, c: int, buffers, div: float, sd: np.ndarray,

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dispest import cli
-from dispest.bounds import (_mat, _most_informative, _prior_weight, _probe_fisher,
-                            _rld, _sld)
+from dispest.bounds import _bounds, _mat, _probe_fisher
 from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
                      bound_rld, bound_sld, build_probe_fock, displace, displace_fock,
                      duan_check, empirical_K_min, evaluate_bounds, gap_D,
@@ -444,27 +443,6 @@ def _zero_or(lo, hi):
     return st.just(0.0) | st.floats(lo, hi)
 
 
-def _stacked(*entries):
-    """The stacking that _mat replaces: broadcast, stack and reshape."""
-    arrays = np.broadcast_arrays(*entries)
-    return np.stack(arrays, axis=-1).reshape(arrays[0].shape + (2, 2))
-
-
-@pytest.mark.parametrize("entries", [
-    (1.0, 0.0, 0.0, 2.0),
-    (np.float64(1.5), 0.5j, -0.5j, np.float64(2.5)),
-    (np.linspace(0.0, 1.0, 5), 0.0, 0.0, np.linspace(1.0, 2.0, 5)),
-    (np.linspace(0.0, 1.0, 5), 0.5j * np.arange(5.0), -0.5j, np.ones(5)),
-    (np.ones((3, 1)), 0.5j * np.ones(4), -0.5j, np.zeros((1, 4))),
-    (np.array([np.nan, np.inf]), -0.0, 0.0, np.array([[1.0], [-np.inf]])),
-], ids=["0-d", "0-d complex", "1-d", "1-d complex", "broadcast", "broadcast nonfinite"])
-def test_mat_matches_broadcast_and_stack(entries):
-    got, want = _mat(*entries), _stacked(*entries)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-
-
 def _cli_csv(argv):
     """Exit code and data rows of an in-process dispest call that prints CSV."""
     out = io.StringIO()
@@ -503,10 +481,8 @@ def test_entry_route_matches_the_stacked_route(kind, r_max, steps, N, N2, delta,
         ref = evaluate_bounds(*fm, delta, G, shots)
         flat = evaluate_bounds(*fm, delta)
         h, j_inv = _probe_fisher(kind, grid, N, n2)
-        u = _prior_weight(delta)
-        b_s, b_r = _sld(h, u, G, shots), _rld(j_inv, u, G, shots)
-        b_mi, rld = _most_informative(b_s, b_r)
-    for got, want in [(fm.H, _stacked(*h)), (fm.j_inv, _stacked(*j_inv))]:
+        b_s, b_r, b_mi, rld = _bounds(h, j_inv, delta, G, shots)
+    for got, want in [(fm.H, _mat(*h)), (fm.j_inv, _mat(*j_inv))]:
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
     for got, want in zip((b_s, b_r, b_mi), ref):
         assert np.array_equal(got, want, equal_nan=True)

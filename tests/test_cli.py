@@ -371,14 +371,16 @@ def test_simulate_target_past_the_float_range_exits_3(capsys, args):
     ["--baseline", "--prior-delta", "1e300", "--scaling", "coherent"],
     ["--r", "1", "--N", "0", "--prior-delta", "1e150", "--scaling", "optimal"],
 ] + [["--r", "1", "--N", "0.5", "--prior-delta", delta, "--scaling", scaling]
-     for delta in ("1e100", "1e200", "1e300") for scaling in ("coherent", "optimal")],
+     for delta in ("1e100", "1e200", "1e300") for scaling in ("coherent", "optimal")]
+    + [["--r", r, "--N", "2", "--q0", "0", "--p0", "0"] for r in ("355.1", "355.3")],
     ids=["q0-1e200", "baseline-delta-1e300", "delta-1e150"]
     + [f"delta-{d}-{s}" for d in ("1e100", "1e200", "1e300")
-       for s in ("coherent", "optimal")])
+       for s in ("coherent", "optimal")] + ["r-355.1", "r-355.3"])
 def test_simulate_wide_targets_are_finite(capsys, args):
     """At K = 1 the bias term of the target is zero however large the truth or
-    the prior width, and K_c, K_min round to 1 for wide priors: exit 0 with
-    finite results, no warning."""
+    the prior width, and K_c, K_min round to 1 for wide priors; near r = 355
+    the standard-form entries a, b overflow while E and the bound stay finite:
+    exit 0 with finite results, no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["simulate", "--shots", "1000", *args])
@@ -387,7 +389,7 @@ def test_simulate_wide_targets_are_finite(capsys, args):
     assert res["k_used"] == 1.0
     assert all(np.isfinite(v) for v in res.values() if v is not None)
     var_sum = 2.0 if "--baseline" in args else (
-        2 * (2 * float(args[3]) + 1) * np.exp(-2.0))
+        2 * (2 * float(args[3]) + 1) * np.exp(-2.0 * float(args[1])))
     assert res["target_mse_sum"] == pytest.approx(var_sum, rel=1e-15)
 
 
