@@ -34,7 +34,7 @@ thr = asym_n2_threshold(r)
 print(f"\nasymmetric probe at r = {r}: N2 threshold = {thr:.4f} "
       f"(closed form e^(2r) - 1 = {np.exp(2 * r) - 1:.4f})")
 for n2 in (0.5 * thr, 2.0 * thr):
-    rep = sql_beating_vs_entanglement(r, N1=0.0, N2=n2)
+    rep = sql_beating_vs_entanglement(r, 0.0, n2)
     print(f"  N2 = {n2:.3f}: beats SQL: {str(rep.beats_sql):5s}  entangled "
           f"(optimized Duan, a* = {rep.duan_opt.a:+.3f}): "
           f"{rep.duan_opt.entangled_sufficient}")

@@ -98,16 +98,6 @@ class BoundReport:
     gap: float | None = None
 
 
-def _hermitian_pinv(mat: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse that drops eigenvalues at the rounding level of mat,
-    a few epsilons of its largest; a coarser floor would drop the ~r^2 (N1 + 1)
-    eigenvalue of a vacuum mode squeezed by r ~ 1e-7."""
-    vals, vecs = np.linalg.eigh(mat)
-    cut = 4.0 * np.finfo(float).eps * np.max(np.abs(vals))
-    inv = np.where(np.abs(vals) > cut, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.conj().T
-
-
 def gaussian_fisher(state: GaussianState, mode: int = 0) -> FisherMatrices:
     """Fisher matrices for displacement of one mode of a Gaussian probe."""
     if not 0 <= mode < state.modes:
@@ -123,7 +113,10 @@ def gaussian_fisher(state: GaussianState, mode: int = 0) -> FisherMatrices:
         Mdd = M[np.ix_(rows, rows)]
         Mdo = M[np.ix_(rows, others)]
         Moo = M[np.ix_(others, others)]
-        j_inv = Mdd - Mdo @ _hermitian_pinv(Moo) @ Mdo.conj().T
+        # cut at Moo's rounding level: a coarser floor would drop the
+        # ~r^2 (N1 + 1) eigenvalue of a vacuum mode squeezed by r ~ 1e-7
+        pinv = np.linalg.pinv(Moo, rtol=4 * np.finfo(float).eps, hermitian=True)
+        j_inv = Mdd - Mdo @ pinv @ Mdo.conj().T
     else:
         j_inv = M
     return FisherMatrices(H, 0.5 * (j_inv + j_inv.conj().T))

@@ -45,7 +45,7 @@ from .gaussian import _check_count, _tmst_form, check_probe
 
 _SQRT2 = np.sqrt(2.0)
 
-DEFAULT_TAIL_TOL = 1e-10
+_TAIL_TOL = 1e-10       # largest probability accepted in the top 10% of Fock levels
 _SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
 _INV_FLOOR = 1e-12      # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
@@ -280,7 +280,6 @@ def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
 
 def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
                      N2: float | None = None, dim: int | None = None,
-                     tail_tol: float = DEFAULT_TAIL_TOL,
                      max_dim: int | None = None) -> FockOperatorSet:
     """Build a probe density matrix by exponentiated squeezing of thermal states.
 
@@ -290,14 +289,12 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         Single-mode squeezed thermal, symmetric two-mode squeezed thermal, or
         asymmetric two-mode squeezed thermal (N2 given for it and only for it).
     dim : int, optional
-        Per-mode truncation; defaults to the smallest dim whose analytic tail
-        bound is below tail_tol (TruncationError, before building, if that is
-        above max_dim).
-    tail_tol : float
-        Maximum probability allowed in the top 10% of Fock levels, measured
-        on the built probe; the truncation escalates until this holds, and
-        stops with TruncationError at max_dim (default 600 for one mode, 420
-        for two).  With tail_tol = inf nothing is measured, and dim is needed.
+        Per-mode truncation to try first; defaults to the smallest dim whose
+        analytic tail bound is below 1e-10 (TruncationError, before building,
+        if that is above max_dim).  The probability in the top 10% of Fock
+        levels is measured on each built probe, and the truncation escalates
+        until it is below 1e-10, stopping with TruncationError at max_dim
+        (default 600 for one mode, 420 for two).
     """
     check_probe(r, N, N2, kind)
     if kind == "coherent":
@@ -305,16 +302,12 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
     for name, value in (("dim", dim), ("max_dim", max_dim)):
         if value is not None:
             _check_count(name, value, 2)
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
-    if tail_tol == np.inf and dim is None:
-        raise ValueError("tail_tol = inf measures no tail, so it needs dim")
     if max_dim is None:
         max_dim = 600 if kind == "single" else 420
     if dim is None:
         n_hi, modes = _analytic_tail(kind, r, N, N2)
-        # smallest cut with modes * x^cut < tail_tol; -log x = log(1 + 1/n)
-        cut = (np.floor(np.log(modes / tail_tol) / np.log1p(1.0 / n_hi)) + 1
+        # smallest cut with modes * x^cut < _TAIL_TOL; -log x = log(1 + 1/n)
+        cut = (np.floor(np.log(modes / _TAIL_TOL) / np.log1p(1.0 / n_hi)) + 1
                if n_hi > 0 else 1)
         dim = max(2, np.ceil(max(cut, 1) / 0.9))
         if dim > max_dim:
@@ -325,15 +318,13 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
 
     while True:
         probe = _build_at_dim(kind, r, N, N2, dim)
-        if tail_tol == np.inf:
-            return probe
         tail = probe.tail_mass()
-        if tail < tail_tol:
+        if tail < _TAIL_TOL:
             return probe
         if dim >= max_dim:
             raise TruncationError(
                 f"truncation dim={dim} leaves tail mass {tail:.3e} "
-                f"(tolerance {tail_tol:.1e})", tail_mass=tail)
+                f"(tolerance {_TAIL_TOL:.1e})", tail_mass=tail)
         dim = min(max_dim, ceil(1.25 * dim) + 1)
 
 
@@ -533,19 +524,20 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
 
 
 def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
-                          dim: int | None = None, **build_kwargs):
-    """Compute (H, J) at dim and dim + 5 and insist they agree within 1e-8.
+                          dim: int | None = None, max_dim: int | None = None):
+    """Compute (H, J) of build_probe_fock(kind, r, N, N2, dim, max_dim) and
+    of the same probe built at its dim + 5, and insist they agree within 1e-8.
 
-    The probe's selection-rule leakage (module docstring) must also stay
-    within 1e-8.
+    The first probe's selection-rule leakage (module docstring) must also
+    stay within 1e-8.  The check probe is built directly at dim + 5, without
+    a tail measurement, as the first build has checked every input.
     """
-    probe = build_probe_fock(kind, r, N, N2, dim=dim, **build_kwargs)
+    probe = build_probe_fock(kind, r, N, N2, dim=dim, max_dim=max_dim)
     H1, J1, leakage = _fisher_pass(probe)
     if leakage > _CONVERGED_TOL:
         raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",
                               tail_mass=probe.tail_mass())
-    bigger = build_probe_fock(kind, r, N, N2, dim=probe.dim + 5,
-                              **{**build_kwargs, "tail_tol": np.inf})
+    bigger = _build_at_dim(kind, r, N, N2, probe.dim + 5)
     H2, J2, _ = _fisher_pass(bigger)
     drift = max(np.max(np.abs(H1 - H2)), np.max(np.abs(J1 - J2)))
     if drift > _CONVERGED_TOL:

@@ -274,6 +274,8 @@ def run_baseline_heterodyne(cfg: EstimationConfig,
     vacuum unit, one full unit each for a coherent probe, plus the jitter;
     K multiplies the raw outcomes.
     """
+    if cfg.kind != "coherent":
+        raise ValueError("the baseline runs the coherent probe: give no r, N or N2")
     return _simulate(cfg, 1.0, 1.0, record_shots)
 
 

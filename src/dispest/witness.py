@@ -121,33 +121,26 @@ class SqlEntanglementReport:
     n2_threshold: float | None = None
 
 
-def sql_beating_vs_entanglement(r: float, N: float | None = None,
-                                N1: float | None = None,
+def sql_beating_vs_entanglement(r: float, N: float,
                                 N2: float | None = None) -> SqlEntanglementReport:
     """Report scheme performance and Duan verdicts for a two-mode squeezed
-    thermal probe, symmetric (N) or asymmetric (N1, N2).
+    thermal probe given as make_tmst takes it: symmetric (N2 None) or
+    asymmetric, with the report's N1 = N.
 
     For the symmetric family, Duan at a = 1 is necessary and sufficient, and
     beating the SQL is equivalent to r > r_sql(N).  For the asymmetric family
     the report carries the N2 value at which the scheme stops beating the SQL
     at this r.
     """
-    symmetric = N is not None
-    if symmetric and (N1 is not None or N2 is not None):
-        raise ValueError("give either N or the pair (N1, N2), not both")
-    if not symmetric and (N1 is None or N2 is None):
-        raise ValueError("asymmetric probes need both N1 and N2")
-    n1 = N if symmetric else N1
-    n2 = N if symmetric else N2
-
-    state = make_tmst(r, n1, n2)
+    symmetric = N2 is None
+    state = make_tmst(r, N, N2)
     variance_sum = scheme_variance_propagated(state)
     report = SqlEntanglementReport(
-        r=r, N1=float(n1), N2=float(n2), symmetric=symmetric,
+        r=r, N1=float(N), N2=float(N if symmetric else N2), symmetric=symmetric,
         variance_sum=variance_sum, beats_sql=bool(variance_sum < 2.0),
         duan_a1=duan_check(state, 1.0), duan_opt=duan_best(state),
         r_sql=thresholds(N)[1] if symmetric else None,
-        n2_threshold=asym_n2_threshold(r, n1) if not symmetric else None)
+        n2_threshold=asym_n2_threshold(r, N) if not symmetric else None)
     return report
 
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dispest import cli
+from dispest import cli, fock
 from dispest.bounds import _bounds, _mat, _probe_fisher
 from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     bound_rld, bound_sld, build_probe_fock, displace, displace_fock,
+                     bound_rld, bound_sld, displace, displace_fock,
                      duan_check, empirical_K_min, evaluate_bounds, gap_D,
                      gaussian_fisher, make_squeezed_thermal, make_thermal,
                      make_tmst, moments_fock, prior_fisher_gaussian, probe_fisher,
@@ -345,7 +345,7 @@ def test_narrow_priors_stay_finite(delta):
 
 
 def _fock_vacuum():
-    return build_probe_fock("single", 0.0, 0.0, dim=4, tail_tol=np.inf)
+    return fock._build_at_dim("single", 0.0, 0.0, None, 4)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -360,10 +360,15 @@ def _fock_vacuum():
     (lambda: bound_rld(gaussian_fisher(vacuum(1)), shots=0), "shots"),
     (lambda: duan_check(make_tmst(0.5, 0.5), a=np.nan), "a must be finite"),
     (lambda: moments_fock(_fock_vacuum(), [[("q", 0), ("x", 0)]]), "q, p, a or adag"),
+    (lambda: gaussian_fisher(vacuum(1), mode=1), "mode index"),
+    (lambda: bound_sld(gaussian_fisher(vacuum(1)), delta=0.0), "prior width"),
+    (lambda: scaling_factors(0.0, 1.0), "var0"),
+    (lambda: scaling_factors(1.0, 0.0), "prior width"),
 ])
 def test_bad_arguments_raise_at_entry(call, match):
-    """NaN, an infinite displacement, a zero shot count or an unknown operator
-    name is a ValueError naming the argument, with no warning on the way."""
+    """NaN, an infinite displacement, a zero shot count or prior width, a
+    mode out of range or an unknown operator name is a ValueError naming the
+    argument, with no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):

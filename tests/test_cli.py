@@ -447,6 +447,12 @@ def test_coherent_probe_with_r_or_N_exits_2(capsys):
     assert (code, err) == (2, "error: a coherent probe takes no r or N\n")
 
 
+def test_asym_probe_with_N_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["bounds", "--probe", "tmst-asym", "--N", "1",
+                                      "--N1", "0.3", "--N2", "1"])
+    assert (code, out, err) == (2, "", "error: --N conflicts with --N1/--N2\n")
+
+
 def test_fig3_where_the_scheme_form_overflows_inside(capsys, tmp_path):
     """At N = 1e77 and r = 355 the entries a, b of the standard form overflow
     while E and the Fisher matrices stay finite: exit 0 and no warning."""

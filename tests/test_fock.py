@@ -83,6 +83,10 @@ def test_rld_rejects_pure_states():
         rld_fisher_fock(build_probe_fock("single", 0.0, 0.0, dim=12))
     with pytest.raises(PureStateError):
         rld_fisher_fock(build_probe_fock("tmst", 0.6, 0.0, dim=30))
+    # the dense route of a displaced probe
+    with pytest.raises(PureStateError):
+        rld_fisher_fock(displace_fock(build_probe_fock("single", 0.3, 0.0, dim=30),
+                                      0, 0.1, 0.2))
 
 
 def test_rld_thermal_yuen_lax():
@@ -146,14 +150,27 @@ def test_adjacent_pass_matches_dense_route(kind, mode):
     assert np.allclose(rld_fisher_fock(probe, mode), J, atol=1e-8)
 
 
-@pytest.mark.parametrize("args,dim", [(("tmst_asym", 0.4, 0.6, 0.25), 18),
-                                      (("single", 0.4, 0.6), 20)],
+@pytest.mark.parametrize("kind,r,N,N2,dim", [("tmst_asym", 0.4, 0.6, 0.25, 18),
+                                             ("single", 0.4, 0.6, None, 20)],
                          ids=["tmst_asym", "single"])
-def test_leakage_rejects_too_small_dim(args, dim):
-    probe = build_probe_fock(*args, dim=dim, tail_tol=np.inf)
+def test_leakage_rejects_too_small_dim(monkeypatch, kind, r, N, N2, dim):
+    probe = fock._build_at_dim(kind, r, N, N2, dim)
     assert fock._fisher_pass(probe)[2] > 1e-8
+    monkeypatch.setattr(fock, "build_probe_fock", lambda *args, **kwargs: probe)
     with pytest.raises(TruncationError, match="leakage"):
-        fock_fisher_converged(*args, dim=dim, tail_tol=np.inf)
+        fock_fisher_converged(kind, r, N, N2)
+
+
+def test_drift_gate_rejects_a_moved_check_probe(monkeypatch):
+    """A check probe whose (H, J) differ from the first probe's by more than
+    1e-8 (here one built at r + 0.01) is a TruncationError naming the drift."""
+    probe, build = build_probe_fock("tmst", 0.3, 0.5), fock._build_at_dim
+    monkeypatch.setattr(fock, "build_probe_fock", lambda *args, **kwargs: probe)
+    monkeypatch.setattr(fock, "_build_at_dim",
+                        lambda kind, r, N, N2, dim: build(kind, r + 0.01, N, N2, dim))
+    with pytest.raises(TruncationError, match="drift") as err:
+        fock_fisher_converged("tmst", 0.3, 0.5)
+    assert err.value.tail_mass == probe.tail_mass()
 
 
 def relative_errors(kind, r, N, H, J):
@@ -166,7 +183,7 @@ def relative_errors(kind, r, N, H, J):
 @pytest.mark.parametrize("kind,r,N", [("single", 1.0, 0.2), ("tmst", 0.6, 0.1)])
 def test_fault_b_points_need_no_inverse_floor(kind, r, N):
     probe = build_probe_fock(kind, r, N)
-    bigger = build_probe_fock(kind, r, N, dim=probe.dim + 5, tail_tol=np.inf)
+    bigger = fock._build_at_dim(kind, r, N, None, probe.dim + 5)
     _, J, leakage = fock._fisher_pass(probe)
     assert leakage <= 1e-10
     assert np.abs(J - fock._fisher_pass(bigger)[1]).max() < 1e-8
@@ -208,7 +225,7 @@ def test_displacement_matches_expm(kind, mode):
     ref = expm(1j * (p0 * q - q0 * p))
     assert np.abs(D - ref).max() < 1e-12
     assert np.abs(D @ D.conj().T - np.eye(dim)).max() < 1e-12
-    probe = build_probe_fock(kind, 0.4, 0.6, dim=dim, tail_tol=np.inf)
+    probe = fock._build_at_dim(kind, 0.4, 0.6, None, dim)
     D2 = ref if kind == "single" else (
         np.kron(ref, np.eye(dim)) if mode == 0 else np.kron(np.eye(dim), ref))
     moved = displace_fock(probe, mode, q0, p0)
@@ -293,7 +310,8 @@ def test_opposite_sectors_share_their_block():
     ("tmst", 0.702, 0.752, None, None),   # the benchmark oracle's largest point
 ])
 def test_grouped_number_diagonal_matches_the_sector_loop(kind, r, N, N2, dim):
-    probe = build_probe_fock(kind, r, N, N2, dim=dim, tail_tol=1e-10 if dim is None else np.inf)
+    probe = (build_probe_fock(kind, r, N, N2) if dim is None
+             else fock._build_at_dim(kind, r, N, N2, dim))
     expected = np.zeros(probe.dim ** 2)
     for d in range(1 - probe.dim, probe.dim):
         U = probe.blocks[probe.dim - 1 + d]
@@ -357,17 +375,14 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
     assert 0.0 < err.value.tail_mass
     with pytest.raises(TruncationError):
         build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
-    # truncation arguments: dim and max_dim integers >= 2, tail_tol > 0, and
-    # tail_tol = inf (no tail measured) only with a dim
+    # truncation arguments: dim and max_dim integers >= 2
     for bad in ({"dim": 0}, {"dim": 1}, {"dim": 2.5}, {"dim": -3}, {"dim": True},
-                {"max_dim": 1}, {"max_dim": 100.0}, {"tail_tol": 0.0},
-                {"tail_tol": -1.0}, {"tail_tol": np.nan}, {"tail_tol": np.inf}):
+                {"max_dim": 1}, {"max_dim": 100.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             build_probe_fock("tmst", 0.5, 0.5, **bad)
         with pytest.raises(ValueError, match=next(iter(bad))):
             fock_fisher_converged("tmst", 0.5, 0.5, **bad)
-    for good in ({"dim": np.int64(12)}, {"max_dim": np.int32(50)},
-                 {"dim": 12, "tail_tol": np.inf}):
+    for good in ({"dim": np.int64(12)}, {"max_dim": np.int32(50)}):
         with pytest.raises(AssertionError, match="a probe was built"):
             build_probe_fock("tmst", 0.5, 0.5, **good)
 
@@ -396,7 +411,7 @@ def test_bad_probe_parameters_raise_before_building(monkeypatch, args):
 def test_largest_oracle_point_memory():
     """The oracle's peak allocation stays within 4x the blocks of its larger
     probe: padded group stacks do not outlive the build or the pass."""
-    probe = build_probe_fock("tmst", 0.702, 0.752, dim=77, tail_tol=np.inf)
+    probe = fock._build_at_dim("tmst", 0.702, 0.752, None, 77)
     blocks = sum(U.nbytes for U in probe.blocks[76:])   # each |d| once
     del probe
     tracemalloc.start()

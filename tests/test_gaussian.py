@@ -187,6 +187,21 @@ def test_symplectic_transform_validation():
         SymplecticTransform(np.diag([np.exp(8.0), 1.001 * np.exp(-8.0)]), np.zeros(2))
 
 
+def test_symplectic_transform_apply():
+    """An affine map of a two-mode squeezer S and a shift d of mode 0 gives
+    the state of squeeze_two followed by displace."""
+    r, Z = 0.4, np.diag([1.0, -1.0])
+    S = np.block([[np.cosh(r) * np.eye(2), -np.sinh(r) * Z],
+                  [-np.sinh(r) * Z, np.cosh(r) * np.eye(2)]])
+    T = SymplecticTransform(S, np.array([0.1, 0.2, 0.0, 0.0]))
+    out = T.apply(make_thermal(0.3, 2))
+    want = displace(squeeze_two(make_thermal(0.3, 2), (0, 1), r), 0, 0.1, 0.2)
+    assert np.allclose(out.mean, want.mean, rtol=0, atol=1e-15)
+    assert np.allclose(out.cov, want.cov, rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="mode counts"):
+        T.apply(vacuum(1))
+
+
 @pytest.mark.parametrize("r", [8.0, 12.0, 15.0])
 def test_large_squeezing_stays_valid(r):
     """Validation tolerances scale with the entries, which grow as e^{2r}."""

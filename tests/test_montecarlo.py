@@ -449,6 +449,23 @@ def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="floating-point range"):
         run_baseline_heterodyne(EstimationConfig(shots=1000, seed=0, prior_delta=1e200,
                                                  scaling=0.5))
+    # (2N + 1)e^{-2r}/2 overflows at N = 1e308 though N is finite
+    with pytest.raises(ValueError, match="quadrature variance"):
+        run_scheme(scheme_cfg(shots=1000, r=0.0, N=1e308))
+
+
+def test_each_runner_takes_only_its_probe(monkeypatch):
+    """The scheme needs a two-mode probe and the heterodyne baseline the
+    coherent one; the other is a ValueError, with no shot drawn."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with the wrong probe")
+
+    monkeypatch.setattr(montecarlo, "_sample", no_sampling)
+    with pytest.raises(ValueError, match="need r and N"):
+        run_scheme(EstimationConfig(shots=20000, seed=1, q0=0.1, p0=0.2))
+    for N2 in (None, 0.2):
+        with pytest.raises(ValueError, match="coherent probe"):
+            run_baseline_heterodyne(scheme_cfg(N2=N2))
 
 
 _jitter = st.none() | st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2))

@@ -44,6 +44,8 @@ def test_duan_best_never_worse_than_unit_a():
         at_one = duan_check(st, 1.0)
         best = duan_best(st)
         assert (best.lhs - best.rhs) <= (at_one.lhs - at_one.rhs) + 1e-9
+    # the vacuum has alpha_1 = alpha_2 = 1, where the minimizer is undefined
+    assert duan_best(make_tmst(0.0, 0.0)) == duan_check(make_tmst(0.0, 0.0), 1.0)
 
 
 def test_propagated_variance_matches_closed_form():
@@ -88,11 +90,6 @@ def test_symmetric_report():
     rep = sql_beating_vs_entanglement(0.65, N=1.0)
     assert rep.beats_sql and rep.duan_a1.entangled_sufficient
 
-    with pytest.raises(ValueError):
-        sql_beating_vs_entanglement(0.3, N=1.0, N1=0.0)
-    with pytest.raises(ValueError):
-        sql_beating_vs_entanglement(0.3, N1=0.0)
-
 
 def test_symmetric_equivalence_on_grid():
     for r in np.linspace(0.05, 1.2, 10):
@@ -125,13 +122,13 @@ def test_asym_threshold_is_the_sql_crossing(n1):
 def test_asym_entangled_but_not_beating_sql():
     r = 0.5
     thr = asym_n2_threshold(r)
-    above = sql_beating_vs_entanglement(r, N1=0.0, N2=thr + 0.5)
+    above = sql_beating_vs_entanglement(r, 0.0, thr + 0.5)
     assert not above.beats_sql
     assert above.duan_opt.entangled_sufficient
     assert not above.symmetric
-    below = sql_beating_vs_entanglement(r, N1=0.0, N2=max(thr - 0.5, 0.1))
+    below = sql_beating_vs_entanglement(r, 0.0, max(thr - 0.5, 0.1))
     assert below.beats_sql
-    warm = sql_beating_vs_entanglement(r, N1=0.3, N2=0.2)
+    warm = sql_beating_vs_entanglement(r, 0.3, 0.2)
     assert np.isclose(warm.n2_threshold, np.exp(2 * r) - 1.3)
 
 
