@@ -213,8 +213,19 @@ def _rld(x, u, weight=None, shots=1):
     with k = 0, 1 or 2 the least that keeps them finite, and D u^2 taken as
     (D u) u.  The imaginary part of a Hermitian X is [[0, w], [-w, 0]], so
     tr|G Im X| = |w| |G|_1 with the trace norm |G|_1 = sqrt(|G|_F^2 + 2 |det G|)
-    (2 for G = I)."""
+    (2 for G = I).  Where u > 1e100 (an underflowed D matters from u ~ 1e138)
+    and D is not a normal float, J^-1 is first divided by the power of two m
+    just below its largest entry, if that is below 1, and u multiplied by m:
+    X = m (J^-1/m + u m I)^-1 exactly, and every other point keeps its bits."""
+    m = None
     if u is not None:
+        if u > 1e100:
+            tiny = np.finfo(float).tiny
+            big = np.maximum(np.maximum(abs(x[0]), abs(x[1])),
+                             np.maximum(abs(x[2]), abs(x[3])))
+            m = np.where((big < 1.0) & (abs(_det(x)) < tiny),
+                         np.ldexp(1.0, np.frexp(np.maximum(big, tiny))[1] - 1), 1.0)
+            x, u = tuple(e / m for e in x), u * m   # m >= tiny: the complex e / m is finite
         d = _det(x)
         with np.errstate(all="ignore"):  # the rescaled form replaces what overflows
             det = 1.0 + (u * x[0] + u * x[3]) + d * (u * u)
@@ -232,6 +243,8 @@ def _rld(x, u, weight=None, shots=1):
         if np.any(abs(det) < floor):
             raise RLDUnavailableError("RLD bound unavailable: singular J + A")
         x = tuple(e / det for e in num)
+        if m is not None:
+            x = tuple(e * m for e in x)
     off = 0.5 * (x[1].real + x[2].real)
     w = abs(0.5 * (x[1].imag - x[2].imag))
     if weight is None:
@@ -311,7 +324,7 @@ def scheme_variance_sum(r, N, N2=None):
     """Variance sum 2(N + N2 + 1)e^{-2r} of the double-homodyne scheme, which
     is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
     and N2."""
-    check_probe(r, N, N2)
+    check_probe(r, N, N2, "tmst" if N2 is None else "tmst_asym")
     return _tmst_form(r, N, N2).E
 
 
@@ -320,7 +333,7 @@ def gap_D(r, N):
     flat-prior most-informative bound; equals e^{-4r} on the N = 0 line.
     Broadcasts over r and N.  Uses the paper's closed forms as written, since
     at large r the gap is a difference of nearly equal terms."""
-    check_probe(r, N)
+    check_probe(r, N, kind="tmst")
     return _gap_D(r, N)
 
 

@@ -17,7 +17,7 @@ linear in a and a†, and so are their squeezed images, so T couples only
 thermal levels one step apart: n to n ± 1, and (n, m) to (n + 1, m) and
 (n, m - 1) between sectors d and d + 1.  On those pairs p_t/p_s is N/(N + 1)
 or its inverse, so no weight amplifies roundoff and no inverse floor is
-needed.  Built probes take one pass per displaced mode over those pairs only,
+needed.  Each probe takes one pass per displaced mode over those pairs only,
 with weights from log probabilities.  The rule fails near the truncation
 edge, so the pass also reports the leakage max_s p_s (sum_t T_st^2 - adjacent
 part), where the full sum is ||G u_s||^2 by orthogonality; G^2 is diagonal
@@ -26,10 +26,9 @@ within a sector, so ||G u_s||^2 = sum_i U_is^2 (n_i + (n_i + 1)[n_i < dim -
 rejects a probe whose leakage exceeds its tolerance.  Two-mode blocks of
 consecutive |d| are built and passed in zero-padded stacks of at most
 _STACK_BYTES, so that per-call overhead does not dominate; each block is
-copied out of its stack.  Every other probe, such as a displaced one
-(displace_fock), takes one dense route: one eigendecomposition of rho, the
-full T of both generators in its eigenbasis, and the SLD and RLD sums over
-all eigenpairs, the RLD with rho^-1 on the eigenvalues above _INV_FLOOR.
+copied out of its stack.  The Fisher matrices of a displacement model do not
+depend on the displacement, so the oracle takes them from undisplaced built
+probes only; displace_fock returns the displaced density matrix D rho D†.
 The oracle needs numpy alone: the squeezer blocks and the displacement come
 from np.linalg.eigh, so that no second linear-algebra library is loaded.
 """
@@ -46,8 +45,6 @@ from .gaussian import _check_count, _tmst_form, check_probe
 _SQRT2 = np.sqrt(2.0)
 
 _TAIL_TOL = 1e-10       # largest probability accepted in the top 10% of Fock levels
-_SLD_PAIR_TOL = 1e-12   # dense route: skip spectral pairs with p_s + p_t below this
-_INV_FLOOR = 1e-12      # dense route: eigenvalues below this are outside the rho^-1 support
 _PURITY_TOL = 1e-8
 _CONVERGED_TOL = 1e-8   # fock_fisher_converged: largest leakage and drift accepted
 _STACK_BYTES = 1 << 17  # one zero-padded stack of blocks (_groups)
@@ -180,21 +177,18 @@ def _sector_squeeze_blocks(r: float, dim: int) -> list:
 
 @dataclass(frozen=True)
 class FockOperatorSet:
-    """Truncated probe for the oracle.
-
-    Built probes carry eigenvector blocks (one per difference sector for two
-    modes, one dense block for one mode) and the thermal log probabilities of
-    their columns by Fock label (a (dim, dim) grid over (n, m) for two
-    modes); other probes, such as displaced ones, a dense density matrix.
+    """Truncated probe for the oracle: eigenvector blocks (one per difference
+    sector for two modes, one dense block for one mode) and the thermal log
+    probabilities of their columns by Fock label (a (dim, dim) grid over
+    (n, m) for two modes).
     """
 
     kind: str
     params: tuple
     dim: int
     modes: int
-    rho_dense: np.ndarray | None = None
-    blocks: list | None = field(default=None, repr=False)
-    log_probs: np.ndarray | None = field(default=None, repr=False)
+    blocks: list = field(repr=False)
+    log_probs: np.ndarray = field(repr=False)
 
     def _block_states(self) -> list:
         """Fock indices of the rows of each eigenvector block, and the log
@@ -206,17 +200,13 @@ class FockOperatorSet:
 
     @property
     def rho0(self) -> np.ndarray:
-        """Dense probe density matrix (assembled on demand for built probes)."""
-        if self.rho_dense is not None:
-            return self.rho_dense
+        """Dense probe density matrix, assembled on demand."""
         rho = np.zeros((self.dim ** self.modes,) * 2)
         for (idx, lp), U in zip(self._block_states(), self.blocks):
             rho[np.ix_(idx, idx)] = (U * np.exp(lp)) @ U.T
         return rho
 
     def purity(self) -> float:
-        if self.log_probs is None:
-            return float(np.sum(np.abs(self.rho_dense) ** 2).real)
         return float(np.sum(np.exp(self.log_probs) ** 2))
 
     def number_diagonal(self) -> np.ndarray:
@@ -226,8 +216,6 @@ class FockOperatorSet:
         _groups takes one batched product with the column probabilities of
         both sectors, p[k + s, k] and p[k, k + s]; p is padded with zero rows
         so that the padded columns read 0."""
-        if self.rho_dense is not None:
-            return np.real(np.diag(self.rho_dense)).copy()
         p = np.exp(self.log_probs)
         if self.modes == 1:
             return (self.blocks[0] ** 2) @ p
@@ -348,14 +336,14 @@ def _displacement(dim: int, q0: float, p0: float) -> np.ndarray:
     return (V * np.exp(1j * lam)) @ V.conj().T
 
 
-def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> FockOperatorSet:
-    """Displaced copy of the probe (dense route; meant for moderate dims)."""
+def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> np.ndarray:
+    """Dense density matrix D rho D† of the probe displaced by (q0, p0) on one
+    mode (meant for moderate dims)."""
     for name, value in (("q0", q0), ("p0", p0)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
     D = _on_modes(probe, {mode: _displacement(probe.dim, q0, p0)})
-    return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
-                           modes=probe.modes, rho_dense=D @ probe.rho0 @ D.conj().T)
+    return D @ probe.rho0 @ D.conj().T
 
 
 def _single_mode_pairs(probe: FockOperatorSet, mode: int):
@@ -450,52 +438,23 @@ def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
     return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
 
 
-def _fisher(probe: FockOperatorSet, mode: int, rld: bool):
-    """H and J (None unless rld): _fisher_pass for built probes, otherwise the
-    dense sums over all eigenpairs of rho, with G_q0 = p and G_p0 = -q."""
-    if probe.blocks is not None:
-        return _fisher_pass(probe, mode, rld)[:2]
-    if rld and probe.purity() > 1.0 - _PURITY_TOL:
-        raise PureStateError("RLD undefined for pure states")
-    eigs, basis = np.linalg.eigh(probe.rho0)
-    eigs = np.clip(eigs, 0.0, None)
-    q, p = quadratures(probe.dim)
-    gens = [basis.conj().T @ _on_modes(probe, {mode: g}) @ basis for g in (p, -q)]
-    ps, pt = eigs[:, None], eigs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(ps + pt > _SLD_PAIR_TOL, ps * ((ps - pt) / (ps + pt)) ** 2, 0.0)
-        R = np.where(ps > _INV_FLOOR, (ps - pt) ** 2 / ps, 0.0)
-    np.fill_diagonal(w, 0.0)
-    H = np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in gens]
-                  for x in gens])
-    if not rld:
-        return H, None
-    if np.count_nonzero(eigs > _INV_FLOOR) < 2:
-        raise PureStateError("RLD undefined for pure states")
-    J = np.array([[np.sum(R * (x * y.T)) for y in gens] for x in gens])
-    return H, 0.5 * (J + J.conj().T)
-
-
 def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
     """SLD Fisher matrix H for the displacement pair (q0, p0).
 
     Spectral sum over eigenpairs of the probe with weights
-    p_s ((p_s - p_t)/(p_s + p_t))^2.  Built probes sum the thermal-adjacent
-    pairs only (module docstring); the dense route skips pairs with
-    p_s + p_t below 1e-12 (support-orthogonal sectors carry no information).
+    p_s ((p_s - p_t)/(p_s + p_t))^2, taken over the thermal-adjacent pairs
+    only (module docstring).
     """
-    return _fisher(probe, displaced_mode, rld=False)[0]
+    return _fisher_pass(probe, displaced_mode, rld=False)[0]
 
 
 def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
-    """RLD Fisher matrix J, Hermitian.
-
-    Built probes sum the thermal-adjacent pairs only (module docstring); the
-    dense route uses rho^-1 on the eigenvalues above 1e-12.  Raises
-    PureStateError when the probe has no inverse (pure or rank-deficient
-    probes), in which case callers fall back to closed-form limits.
+    """RLD Fisher matrix J, Hermitian, summed over the thermal-adjacent pairs
+    only (module docstring).  Raises PureStateError when the probe has no
+    inverse (pure or rank-deficient probes), in which case callers fall back
+    to closed-form limits.
     """
-    return _fisher(probe, displaced_mode, rld=True)[1]
+    return _fisher_pass(probe, displaced_mode, rld=True)[1]
 
 
 def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:

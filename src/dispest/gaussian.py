@@ -216,7 +216,7 @@ def _tmst_form(r, N, N2=None) -> _TmstForm:
 def tmst_cov(r, N, N2=None) -> np.ndarray:
     """Covariance (..., 4, 4) of the two-mode squeezed thermal state, the
     standard form of _tmst_form; broadcasts over r, N and N2 (default N)."""
-    check_probe(r, N, N2)
+    check_probe(r, N, N2, "tmst" if N2 is None else "tmst_asym")
     a, b, c = np.broadcast_arrays(*_tmst_form(r, N, N2)[:3])
     z = np.zeros_like(a)
     rows = [[a, z, -c, z], [z, a, z, c], [-c, z, b, z], [z, c, z, b]]

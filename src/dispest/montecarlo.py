@@ -112,7 +112,6 @@ class EstimationResult:
     se_mse_p: float
     se_mse_sum: float
     target_mse_sum: float
-    outcome_variances: tuple[float, float]
     per_shot: dict | None = None
 
 
@@ -251,8 +250,7 @@ def _simulate(cfg: EstimationConfig, var: float, m: float,
         bias_p=float(mean_p - cfg.p0) if cfg.p0 is not None else None,
         mse_q=float(mse_q), mse_p=float(mse_p), mse_sum=float(mse[2]),
         se_mse_q=float(se_q), se_mse_p=float(se_p), se_mse_sum=float(se_sum),
-        target_mse_sum=float(target), outcome_variances=(var_est_q, var_est_p),
-        per_shot=per_shot)
+        target_mse_sum=float(target), per_shot=per_shot)
 
 
 def run_scheme(cfg: EstimationConfig, record_shots: bool = False) -> EstimationResult:
@@ -290,8 +288,7 @@ class KMinScan:
 
 
 def empirical_K_min(r: float, N: float, delta: float, shots: int,
-                    k_grid, seed: int = 0, N2: float | None = None,
-                    workers: int | None = None) -> KMinScan:
+                    k_grid, seed: int = 0, workers: int | None = None) -> KMinScan:
     """Scan the estimator scaling K on common random draws of the scheme.
 
     The outcomes do not depend on K, so one set of draws serves the whole
@@ -304,8 +301,8 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size < 2 or not np.all((k_grid > 0) & (k_grid <= 1.0 + 1e-12)):
         raise ValueError("k_grid must span values in (0, 1]")
-    cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, N2=N2,
-                           prior_delta=delta, workers=workers)
+    cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, prior_delta=delta,
+                           workers=workers)
     sd = np.sqrt(_quadrature_variance(cfg))
     (s_ee, s_et, s_tt), _ = _sample(cfg, _SQRT2, [sd, sd], _SQRT2, scan=True)
     mse = (k_grid ** 2 * s_ee + 2.0 * k_grid * (k_grid - 1.0) * s_et

@@ -4,6 +4,7 @@ import os
 import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from dispest import cli, fock
 from dispest.bounds import _bounds, _mat, _probe_fisher
+from dispest.gaussian import tmst_cov
 from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
                      bound_rld, bound_sld, displace, displace_fock,
                      duan_check, empirical_K_min, evaluate_bounds, gap_D,
@@ -344,6 +346,22 @@ def test_narrow_priors_stay_finite(delta):
         assert evaluate_bounds(*probe_fisher("tmst", 1.0, 0.0), delta)[1] == 0.0
 
 
+def test_narrow_prior_rld_where_det_j_inv_underflows():
+    """At (tmst, r = 300, N = 1000) the entries of J^-1 are ~5e-258, so
+    D = det J^-1 underflows to 0, while D u^2 dominates det K below
+    delta ~ 1e-130: B_R matches a 60-digit evaluation from the same entries.
+    At delta = 1e-100, where D u^2 is negligible, B_R keeps its former bits."""
+    fm = probe_fisher("tmst", 300.0, 1000.0)
+    assert np.linalg.det(fm.j_inv) == 0.0
+    with mpmath.workdps(60):
+        j_inv = mpmath.matrix([[complex(e) for e in row] for row in fm.j_inv])
+        for delta in (1e-150, 1e-140):
+            X = (j_inv ** -1 + mpmath.eye(2) / mpmath.mpf(delta) ** 2) ** -1
+            exact = float(mpmath.re(X[0, 0] + X[1, 1]) + abs(mpmath.im(X[0, 1] - X[1, 0])))
+            assert abs(evaluate_bounds(*fm, delta)[1] / exact - 1.0) < 1e-12
+    assert evaluate_bounds(*fm, 1e-100)[1] == float.fromhex("0x1.462b892fae93fp-854")
+
+
 def _fock_vacuum():
     return fock._build_at_dim("single", 0.0, 0.0, None, 4)
 
@@ -364,11 +382,17 @@ def _fock_vacuum():
     (lambda: bound_sld(gaussian_fisher(vacuum(1)), delta=0.0), "prior width"),
     (lambda: scaling_factors(0.0, 1.0), "var0"),
     (lambda: scaling_factors(1.0, 0.0), "prior width"),
+    (lambda: tmst_cov(0.3, None), "needs r and N"),
+    (lambda: scheme_variance_sum(0.3, None), "needs r and N"),
+    (lambda: gap_D(0.3, None), "needs r and N"),
+    (lambda: tmst_cov(None, 0.3), "needs r and N"),
+    (lambda: scheme_variance_sum(None, 0.3), "needs r and N"),
+    (lambda: gap_D(None, 0.3), "needs r and N"),
 ])
 def test_bad_arguments_raise_at_entry(call, match):
     """NaN, an infinite displacement, a zero shot count or prior width, a
-    mode out of range or an unknown operator name is a ValueError naming the
-    argument, with no warning on the way."""
+    mode out of range, an unknown operator name or a missing probe parameter
+    is a ValueError naming the argument, with no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):

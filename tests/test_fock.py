@@ -5,17 +5,41 @@ import pytest
 from scipy.linalg import expm
 
 import dispest.fock as fock
-from dispest import (FockOperatorSet, PureStateError, TruncationError,
-                     build_probe_fock, displace_fock, fock_fisher_converged,
-                     gaussian_fisher, make_squeezed_thermal, make_tmst,
-                     moment_fock, moments_fock, rld_fisher_fock,
-                     sld_fisher_fock)
+from dispest import (PureStateError, TruncationError, build_probe_fock,
+                     displace_fock, fock_fisher_converged, gaussian_fisher,
+                     make_squeezed_thermal, make_tmst, moment_fock, moments_fock,
+                     rld_fisher_fock, sld_fisher_fock)
+
+# The dense reference includes every pair and takes rho^-1 above a fixed
+# inverse floor of 1e-12.  A floor of 1e-10 would bias J by ~1e-7 at these
+# dims, and floors below ~1e-13 let roundoff in far pairs through; at 1e-12
+# both stay below the tolerance.  Spectral pairs with p_s + p_t below 1e-12
+# are skipped (support-orthogonal sectors carry no information).
+_SLD_PAIR_TOL = 1e-12
+_INV_FLOOR = 1e-12
 
 
-def dense_copy(probe):
-    """Strip the sector decomposition to force the generic dense path."""
-    return FockOperatorSet(kind=probe.kind, params=probe.params, dim=probe.dim,
-                           modes=probe.modes, rho_dense=probe.rho0)
+def dense_fisher(rho, dim, modes, mode):
+    """H and J of any density matrix rho (dim levels per mode) for a
+    displacement of the given mode: one eigendecomposition of rho, the full T
+    of G_q0 = p and G_p0 = -q in its eigenbasis, and the SLD and RLD sums
+    over all eigenpairs."""
+    eigs, basis = np.linalg.eigh(rho)
+    eigs = np.clip(eigs, 0.0, None)
+    q, p = fock.quadratures(dim)
+    eye = np.eye(dim)
+    on_mode = (lambda g: g) if modes == 1 else (
+        lambda g: np.kron(g, eye) if mode == 0 else np.kron(eye, g))
+    gens = [basis.conj().T @ on_mode(g) @ basis for g in (p, -q)]
+    ps, pt = eigs[:, None], eigs[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(ps + pt > _SLD_PAIR_TOL, ps * ((ps - pt) / (ps + pt)) ** 2, 0.0)
+        R = np.where(ps > _INV_FLOOR, (ps - pt) ** 2 / ps, 0.0)
+    np.fill_diagonal(w, 0.0)
+    H = np.array([[2.0 * np.sum(w * (x * y.T + y * x.T)).real for y in gens]
+                  for x in gens])
+    J = np.array([[np.sum(R * (x * y.T)) for y in gens] for x in gens])
+    return H, 0.5 * (J + J.conj().T)
 
 
 def test_vacuum_probe_is_ground_state():
@@ -83,10 +107,6 @@ def test_rld_rejects_pure_states():
         rld_fisher_fock(build_probe_fock("single", 0.0, 0.0, dim=12))
     with pytest.raises(PureStateError):
         rld_fisher_fock(build_probe_fock("tmst", 0.6, 0.0, dim=30))
-    # the dense route of a displaced probe
-    with pytest.raises(PureStateError):
-        rld_fisher_fock(displace_fock(build_probe_fock("single", 0.3, 0.0, dim=30),
-                                      0, 0.1, 0.2))
 
 
 def test_rld_thermal_yuen_lax():
@@ -127,10 +147,6 @@ def test_entrywise_equivalence_with_gaussian_forms(r, N):
     assert np.allclose(j_inv, fm.j_inv, rtol=1e-6, atol=1e-8)
 
 
-# The dense route includes every pair and takes rho^-1 above a fixed inverse
-# floor of 1e-12.  A floor of 1e-10 would bias J by ~1e-7 at these dims, and
-# floors below ~1e-13 let roundoff in far pairs through; at 1e-12 both stay
-# below the tolerance.
 # The tmst probe's dim (37) spans three groups of the grouped pass.
 PASS_PROBES = {"tmst_asym": ("tmst_asym", 0.3, 0.3, 0.15), "single": ("single", 0.4, 0.6),
                "tmst": ("tmst", 0.45, 0.5)}
@@ -145,7 +161,7 @@ def group_count(dim):
 def test_adjacent_pass_matches_dense_route(kind, mode):
     probe = build_probe_fock(*PASS_PROBES[kind])
     assert kind != "tmst" or group_count(probe.dim) >= 3
-    H, J = fock._fisher(dense_copy(probe), mode, rld=True)
+    H, J = dense_fisher(probe.rho0, probe.dim, probe.modes, mode)
     assert np.allclose(sld_fisher_fock(probe, mode), H, atol=1e-9)
     assert np.allclose(rld_fisher_fock(probe, mode), J, atol=1e-8)
 
@@ -207,12 +223,23 @@ def test_oracle_reaches_single_at_r_2():
     assert max(relative_errors("single", 2.0, 1.0, H, J)) < 1e-6
 
 
+def assert_displacement_invariant(probe, mode, q0, p0):
+    """The dense reference on the displaced density matrix gives the
+    adjacent-pair pass's H and J of the undisplaced probe."""
+    H, J = dense_fisher(displace_fock(probe, mode, q0, p0), probe.dim, probe.modes, mode)
+    assert np.allclose(H, sld_fisher_fock(probe, mode), rtol=0, atol=1e-10)
+    assert np.allclose(J, rld_fisher_fock(probe, mode), rtol=0, atol=1e-9)
+
+
 def test_fisher_independent_of_displacement():
-    probe = build_probe_fock("single", 0.3, 0.5, dim=70)
-    moved = displace_fock(probe, 0, 0.7, -0.3)
-    assert np.allclose(sld_fisher_fock(moved), sld_fisher_fock(probe), rtol=0, atol=1e-10)
-    assert np.allclose(rld_fisher_fock(moved), rld_fisher_fock(probe),
-                       rtol=0, atol=1e-9)
+    assert_displacement_invariant(build_probe_fock("single", 0.3, 0.5, dim=70), 0, 0.7, -0.3)
+
+
+# a small point: the truncated displacement moves the reference's J by
+# ~2e-8 already at (tmst, 0.3, 0.3, dim 24), above the 1e-9 tolerance
+@pytest.mark.parametrize("mode", [0, 1])
+def test_two_mode_fisher_independent_of_displacement(mode):
+    assert_displacement_invariant(build_probe_fock("tmst", 0.2, 0.2, dim=20), mode, 0.3, -0.2)
 
 
 @pytest.mark.parametrize("kind, mode", [("single", 0), ("tmst", 0), ("tmst", 1)])
@@ -229,7 +256,7 @@ def test_displacement_matches_expm(kind, mode):
     D2 = ref if kind == "single" else (
         np.kron(ref, np.eye(dim)) if mode == 0 else np.kron(np.eye(dim), ref))
     moved = displace_fock(probe, mode, q0, p0)
-    assert np.abs(moved.rho0 - D2 @ probe.rho0 @ D2.conj().T).max() < 1e-12
+    assert np.abs(moved - D2 @ probe.rho0 @ D2.conj().T).max() < 1e-12
 
 
 def test_truncation_error_reports_tail():
