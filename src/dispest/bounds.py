@@ -73,7 +73,7 @@ class BoundQuery:
         if self.weight is not None:
             w = np.asarray(self.weight, dtype=float)
             if w.shape != (2, 2) or not np.all(np.isfinite(w)) \
-                    or np.linalg.eigvalsh(0.5 * (w + w.T)).min() <= 0:
+                    or np.linalg.eigvalsh(0.5 * w + 0.5 * w.T).min() <= 0:
                 raise ValueError("weight must be finite, 2x2 and positive definite")
 
     def probe_state(self) -> GaussianState:
@@ -98,27 +98,18 @@ class BoundReport:
     gap: float | None = None
 
 
-def gaussian_fisher(state: GaussianState, mode: int = 0) -> FisherMatrices:
-    """Fisher matrices for displacement of one mode of a Gaussian probe."""
-    if not 0 <= mode < state.modes:
-        raise ValueError("mode index out of range")
-    rows = [2 * mode, 2 * mode + 1]
-    others = [k for k in range(2 * state.modes) if k not in rows]
-
-    H = np.linalg.inv(state.cov)[np.ix_(rows, rows)]
+def gaussian_fisher(state: GaussianState) -> FisherMatrices:
+    """Fisher matrices for displacement of mode 0 of a Gaussian probe."""
+    H = np.linalg.inv(state.cov)[:2, :2]
     H = 0.5 * (H + H.T)
 
     M = state.cov + 0.5j * symplectic_form(state.modes)
-    if others:
-        Mdd = M[np.ix_(rows, rows)]
-        Mdo = M[np.ix_(rows, others)]
-        Moo = M[np.ix_(others, others)]
-        # cut at Moo's rounding level: a coarser floor would drop the
-        # ~r^2 (N1 + 1) eigenvalue of a vacuum mode squeezed by r ~ 1e-7
-        pinv = np.linalg.pinv(Moo, rtol=4 * np.finfo(float).eps, hermitian=True)
-        j_inv = Mdd - Mdo @ pinv @ Mdo.conj().T
-    else:
-        j_inv = M
+    j_inv = M[:2, :2]
+    if state.modes > 1:
+        # cut at the other modes' rounding level: a coarser floor would drop
+        # the ~r^2 (N1 + 1) eigenvalue of a vacuum mode squeezed by r ~ 1e-7
+        pinv = np.linalg.pinv(M[2:, 2:], rtol=4 * np.finfo(float).eps, hermitian=True)
+        j_inv = j_inv - M[:2, 2:] @ pinv @ M[:2, 2:].conj().T
     return FisherMatrices(H, 0.5 * (j_inv + j_inv.conj().T))
 
 
@@ -315,6 +306,7 @@ def thresholds(N: float) -> tuple[float, float]:
 
 
 def _thresholds(N) -> tuple[float, float]:
+    N = float(N)  # Python floats leave the range without a warning
     r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
     r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
     return float(r_ths), float(r_sql)
@@ -405,6 +397,28 @@ def _probe_bounds(kind, r, N, N2, delta, weight=None, shots=1):
     return bounds
 
 
+def _column(quantity, kind, r, N, N2=None, delta=None):
+    """One sweep quantity over r on checked inputs, from only the kernels it
+    needs: 'b_sld', 'b_rld', 'b_mi', or, for the symmetric probe at a flat
+    prior, 'scheme_variance' and 'duan_lhs' (both E, the Duan sum at a = 1)
+    and 'gap'.  ValueError where a value it computed (B_S and B_R for 'b_mi')
+    is outside the floating-point range."""
+    with np.errstate(all="ignore"):  # values out of range raise below
+        if quantity in ("scheme_variance", "duan_lhs"):
+            values = [_tmst_form(r, N, N2).E]
+        elif quantity == "gap":
+            values = [_gap_D(r, N)]
+        elif quantity == "b_mi":
+            b_s, b_r, b_mi, _ = _bounds(*_probe_fisher(kind, r, N, N2), delta)
+            values = [b_mi, b_s, b_r]
+        else:
+            h, j_inv = _probe_fisher(kind, r, N, N2)
+            u = _prior_weight(delta)
+            values = [_sld(h, u) if quantity == "b_sld" else _rld(j_inv, u)]
+    check_in_range(r, *values)
+    return values[0]
+
+
 def bound_most_informative(query: BoundQuery) -> BoundReport:
     """Evaluate B_S, B_R and B_MI = max(B_S, B_R) for a probe family.
 
@@ -420,12 +434,10 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
                                         query.delta, query.weight, query.shots)
     r_ths = r_sql = scheme_variance = gap = None
     if query.kind == "tmst":
-        with np.errstate(all="ignore"):  # values out of range raise below
-            r_ths, r_sql = _thresholds(query.N)
-            scheme_variance = _tmst_form(query.r, query.N).E
-            if query.delta is None and query.weight is None and query.shots == 1:
-                gap = _gap_D(query.r, query.N)
-        check_in_range(query.r, *(x for x in (scheme_variance, gap) if x is not None))
+        scheme_variance = _column("scheme_variance", "tmst", query.r, query.N)
+        if query.delta is None and query.weight is None and query.shots == 1:
+            gap = _column("gap", "tmst", query.r, query.N)
+        r_ths, r_sql = _thresholds(query.N)
     return BoundReport(b_sld=float(b_s), b_rld=float(b_r), b_mi=float(b_mi),
                        branch="RLD" if rld else "SLD", r_ths=r_ths, r_sql=r_sql,
                        scheme_variance=scheme_variance, gap=gap)

@@ -18,11 +18,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundQuery, RLDUnavailableError, _bounds, _gap_D, _prior_weight,
-                     _probe_bounds, _probe_fisher, _rld, _sld, bound_most_informative,
-                     check_in_range, scaling_factors)
-from .fock import PureStateError, TruncationError
-from .gaussian import _tmst_form
+from .bounds import (BoundQuery, RLDUnavailableError, _column, _probe_bounds,
+                     bound_most_informative, check_in_range, scaling_factors)
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
@@ -208,9 +205,7 @@ def cmd_figure(args) -> int:
         ns = (0.0, 0.5, 2.0)
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
-        with np.errstate(all="ignore"):  # values out of range raise below
-            columns = [grid] + [_gap_D(grid, n) for n in ns]
-        check_in_range(grid, *columns[1:])
+        columns = [grid] + [_column("gap", "tmst", grid, n) for n in ns]
         _write_csv(os.path.join(out, "fig2.csv"),
                    ["r", "D_N0", "D_N0.5", "D_N2"], _rows(columns), "figure", config)
         print(os.path.join(out, "fig2.csv"))
@@ -222,15 +217,14 @@ def cmd_figure(args) -> int:
     n_th = args.N if args.N is not None else 1.0
     if min(deltas) <= 0 or n_th < 0:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
-    with np.errstate(all="ignore"):  # values out of range raise below
-        h, j_inv = _probe_fisher("tmst", grid, n_th, None)
-        var0 = _tmst_form(grid, n_th).E / 2.0
-    check_in_range(grid, *h, *j_inv, var0)  # a finite H keeps var0 > 0
+    var0 = _column("scheme_variance", "tmst", grid, n_th) / 2.0
     figures = []
     for delta in deltas:  # every column is checked before any file is written
+        # raises where H overflows; a finite H keeps var0 > 0
+        b_mi = _column("b_mi", "tmst", grid, n_th, delta=delta)
         with np.errstate(all="ignore"):  # a prior width whose square underflows
             factors = scaling_factors(var0, delta)
-            columns = [factors.mse_min, factors.mse_kc, _bounds(h, j_inv, delta)[2],
+            columns = [factors.mse_min, factors.mse_kc, b_mi,
                        np.full_like(grid, 2.0 * factors.k_c)]
         check_in_range(grid, *columns)
         figures.append((delta, [grid] + columns))
@@ -258,19 +252,7 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"quantity '{quantity}' does not depend on a prior; "
                              "it takes no --delta")
     query = _probe_query(args)
-    with np.errstate(all="ignore"):  # values out of range raise below
-        if quantity in ("scheme_variance", "duan_lhs"):  # E is the Duan sum at a = 1
-            values = _tmst_form(grid, query.N).E
-        elif quantity == "gap":
-            values = _gap_D(grid, query.N)
-        else:  # only the kernels the quantity needs
-            h, j_inv = _probe_fisher(query.kind, grid, query.N, query.N2)
-            if quantity == "b_mi":
-                values = _bounds(h, j_inv, query.delta)[2]
-            else:
-                u = _prior_weight(query.delta)
-                values = _sld(h, u) if quantity == "b_sld" else _rld(j_inv, u)
-    check_in_range(grid, values)
+    values = _column(quantity, query.kind, grid, query.N, query.N2, query.delta)
 
     config = {"quantity": quantity, "probe": args.probe, "N": args.N,
               "N1": args.N1, "N2": args.N2, "delta": args.delta,
@@ -354,8 +336,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PureStateError, RLDUnavailableError, TruncationError,
-            np.linalg.LinAlgError, OverflowError, ValueError) as exc:
+    except (RLDUnavailableError, OverflowError, ValueError) as exc:
         # input is validated before the library runs, so a ValueError from
         # inside it (an unphysical covariance, say) is a numerical fault
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -17,13 +17,14 @@ linear in a and a†, and so are their squeezed images, so T couples only
 thermal levels one step apart: n to n ± 1, and (n, m) to (n + 1, m) and
 (n, m - 1) between sectors d and d + 1.  On those pairs p_t/p_s is N/(N + 1)
 or its inverse, so no weight amplifies roundoff and no inverse floor is
-needed.  Each probe takes one pass per displaced mode over those pairs only,
-with weights from log probabilities.  The rule fails near the truncation
-edge, so the pass also reports the leakage max_s p_s (sum_t T_st^2 - adjacent
-part), where the full sum is ||G u_s||^2 by orthogonality; G^2 is diagonal
-within a sector, so ||G u_s||^2 = sum_i U_is^2 (n_i + (n_i + 1)[n_i < dim -
-1])/2, n_i the displaced mode's level of row i.  fock_fisher_converged
-rejects a probe whose leakage exceeds its tolerance.  Two-mode blocks of
+needed.  Each probe takes one pass, for mode 0, over those pairs only, with
+weights from log probabilities; displacing the idler of tmst_asym(r, N1, N2)
+is displacing mode 0 of tmst_asym(r, N2, N1).  The rule fails near the
+truncation edge, so the pass also reports the leakage max_s p_s (sum_t T_st^2
+- adjacent part), where the full sum is ||G u_s||^2 by orthogonality; G^2 is
+diagonal within a sector, so ||G u_s||^2 = sum_i U_is^2 (n_i + (n_i + 1)[n_i <
+dim - 1])/2, n_i the mode-0 level of row i.  fock_fisher_converged rejects a
+probe whose leakage exceeds its tolerance.  Two-mode blocks of
 consecutive |d| are built and passed in zero-padded stacks of at most
 _STACK_BYTES, so that per-call overhead does not dominate; each block is
 copied out of its stack.  The Fisher matrices of a displacement model do not
@@ -346,7 +347,7 @@ def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> np
     return D @ probe.rho0 @ D.conj().T
 
 
-def _single_mode_pairs(probe: FockOperatorSet, mode: int):
+def _single_mode_pairs(probe: FockOperatorSet):
     """T of (a - a†)/sqrt(2) and q on the level pairs (s, s + 1), and each
     column's full sum minus its pairs.  Both operators are tridiagonal, so
     their products with U cost O(dim^2)."""
@@ -363,15 +364,15 @@ def _single_mode_pairs(probe: FockOperatorSet, mode: int):
     return t[0], t[1], lp[:-1], lp[1:], np.maximum(*rest)
 
 
-def _sector_pairs(probe: FockOperatorSet, mode: int):
+def _sector_pairs(probe: FockOperatorSet):
     """As _single_mode_pairs, for the pairs of adjacent sectors d, d + 1, with
     every value on the (n, m) grid of the columns' thermal labels: T couples
     (n, m) with (n + 1, m) (grid tn) and (n, m + 1) with (n, m) (grid tm).
 
-    With u, v the blocks of sectors ±s and ±(s + 1), mode 0 takes these from
+    With u, v the blocks of sectors ±s and ±(s + 1), these come from
     X0 = sum_i u[i] sqrt((i + s + 1)/2) v[i] and X1 = sum_i u[i + 1]
-    sqrt((i + 1)/2) v[i] on the column pairs (j, j) and (j + 1, j), and mode 1
-    has mode 0's grids transposed.  Column norms as in the module docstring.
+    sqrt((i + 1)/2) v[i] on the column pairs (j, j) and (j + 1, j).  Column
+    norms as in the module docstring.
     """
     dim = probe.dim
     blocks = probe.blocks[dim - 1:] + [np.zeros((0, 0))]
@@ -397,30 +398,26 @@ def _sector_pairs(probe: FockOperatorSet, mode: int):
     s, j = np.nonzero(level < dim - level[:, None])
     norm = np.empty((dim, dim))
     norm[s + j, j], norm[j, s + j] = norms[:, s, j]
-    if mode == 1:
-        tn, tm, norm = tm.T, tn.T, norm.T
     rest = norm.copy()
     rest[:-1] -= tn ** 2
     rest[1:] -= tn ** 2
     rest[:, :-1] -= tm ** 2
     rest[:, 1:] -= tm ** 2
     lp, t = probe.log_probs, np.concatenate((tn.ravel(), tm.ravel()))
-    return ((t if mode == 0 else -t), t,
+    return (t, t,
             np.concatenate((lp[:-1].ravel(), lp[:, 1:].ravel())),
             np.concatenate((lp[1:].ravel(), lp[:, :-1].ravel())), rest)
 
 
-def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
+def _fisher_pass(probe: FockOperatorSet, rld: bool = True):
     """H, J (None unless rld) and the leakage of a built probe.
 
     Per pair, with G_q0 = -i T_a and G_p0 = -T_q: H = 4 sum (p_s - p_t)^2
     /(p_s + p_t) diag(T_a^2, T_q^2), diag J = sum (p_s - p_t)^2 (1/p_s + 1/p_t)
     (T_a^2, T_q^2), J_qp = i sum (p_s - p_t)^2 (1/p_s - 1/p_t) T_a T_q.
     """
-    if not 0 <= mode < probe.modes:
-        raise ValueError("mode index out of range")
     pairs = _single_mode_pairs if probe.modes == 1 else _sector_pairs
-    ta, tq, ls, lt, rest = pairs(probe, mode)
+    ta, tq, ls, lt, rest = pairs(probe)
     leakage = np.max(np.exp(probe.log_probs) * rest)
     hi, lo = np.maximum(ls, lt), np.minimum(ls, lt)
     # e = p_lo / p_hi <= 1, and 0 where both probabilities are 0
@@ -438,23 +435,23 @@ def _fisher_pass(probe: FockOperatorSet, mode: int = 0, rld: bool = True):
     return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
 
 
-def sld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
-    """SLD Fisher matrix H for the displacement pair (q0, p0).
+def sld_fisher_fock(probe: FockOperatorSet) -> np.ndarray:
+    """SLD Fisher matrix H for the displacement pair (q0, p0) of mode 0.
 
     Spectral sum over eigenpairs of the probe with weights
     p_s ((p_s - p_t)/(p_s + p_t))^2, taken over the thermal-adjacent pairs
     only (module docstring).
     """
-    return _fisher_pass(probe, displaced_mode, rld=False)[0]
+    return _fisher_pass(probe, rld=False)[0]
 
 
-def rld_fisher_fock(probe: FockOperatorSet, displaced_mode: int = 0) -> np.ndarray:
-    """RLD Fisher matrix J, Hermitian, summed over the thermal-adjacent pairs
-    only (module docstring).  Raises PureStateError when the probe has no
-    inverse (pure or rank-deficient probes), in which case callers fall back
-    to closed-form limits.
+def rld_fisher_fock(probe: FockOperatorSet) -> np.ndarray:
+    """RLD Fisher matrix J of mode 0, Hermitian, summed over the
+    thermal-adjacent pairs only (module docstring).  Raises PureStateError
+    when the probe has no inverse (pure or rank-deficient probes), in which
+    case callers fall back to closed-form limits.
     """
-    return _fisher_pass(probe, displaced_mode, rld=True)[1]
+    return _fisher_pass(probe)[1]
 
 
 def moments_fock(probe: FockOperatorSet, monomials) -> list[complex]:
@@ -483,15 +480,15 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
 
 
 def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
-                          dim: int | None = None, max_dim: int | None = None):
-    """Compute (H, J) of build_probe_fock(kind, r, N, N2, dim, max_dim) and
+                          max_dim: int | None = None):
+    """Compute (H, J) of build_probe_fock(kind, r, N, N2, max_dim=max_dim) and
     of the same probe built at its dim + 5, and insist they agree within 1e-8.
 
     The first probe's selection-rule leakage (module docstring) must also
     stay within 1e-8.  The check probe is built directly at dim + 5, without
     a tail measurement, as the first build has checked every input.
     """
-    probe = build_probe_fock(kind, r, N, N2, dim=dim, max_dim=max_dim)
+    probe = build_probe_fock(kind, r, N, N2, max_dim=max_dim)
     H1, J1, leakage = _fisher_pass(probe)
     if leakage > _CONVERGED_TOL:
         raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",

@@ -190,7 +190,8 @@ def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
     Thread i of thread_count(cfg) takes chunks i, i + threads, ...; one thread
     runs in the caller.  Buffers are allocated here, as pool threads would take
     them from per-thread malloc arenas and raise the peak RSS.  No BLAS call
-    is made: BLAS threads would compete with the pool for the cores.
+    is made: BLAS threads would compete with the pool for the cores.  Raises
+    ValueError where a summed total is outside the floating-point range.
     """
     chunks, threads = -(-cfg.shots // _CHUNK), thread_count(cfg)
     sums = np.zeros((chunks, 3 if scan else 7))
@@ -201,17 +202,21 @@ def _sample(cfg: EstimationConfig, div: float, sd, gain: float = 1.0,
              for _ in range(threads)]
     sd = np.reshape(sd, (2, 1))
 
-    def lane(i):
-        for c in range(i, chunks, threads):
-            _stream(cfg, c, lanes[i], div, sd, gain, scan, kept, sums[c])
+    def lane(i):  # entered in each thread: numpy keeps errstate per thread
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for c in range(i, chunks, threads):
+                _stream(cfg, c, lanes[i], div, sd, gain, scan, kept, sums[c])
 
     if threads == 1:
         lane(0)
     else:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(lane, range(threads)))
-    return sums.sum(axis=0), (None if kept is None
-                              else dict(zip(_PER_SHOT, kept.reshape(6, -1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = sums.sum(axis=0)
+    if not np.isfinite(totals).all():
+        raise ValueError("the Monte Carlo sums are outside the floating-point range")
+    return totals, (None if kept is None else dict(zip(_PER_SHOT, kept.reshape(6, -1))))
 
 
 def _simulate(cfg: EstimationConfig, var: float, m: float,

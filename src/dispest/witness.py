@@ -154,15 +154,12 @@ def asym_n2_threshold(r: float, n1: float = 0.0) -> float:
     return float(max(np.expm1(2.0 * r) - n1, 0.0))
 
 
-def random_unsqueezed_two_mode(rng: np.random.Generator,
-                               r_max: float = 1.5,
-                               n_max: float = 2.0) -> GaussianState:
+def random_unsqueezed_two_mode(rng: np.random.Generator) -> GaussianState:
     """Random two-mode Gaussian state without local squeezing.
 
-    Two-mode squeezing of (possibly asymmetric) thermal inputs followed by
-    local phase rotations; the reduced covariances stay isotropic.
+    Two-mode squeezing (r up to 1.5) of thermal inputs (N1, N2 up to 2 each)
+    followed by local phase rotations; the reduced covariances stay isotropic.
     """
-    state = make_tmst(rng.uniform(0.0, r_max),
-                      rng.uniform(0.0, n_max), rng.uniform(0.0, n_max))
+    state = make_tmst(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
     state = phase_rotate(state, 0, rng.uniform(0.0, 2.0 * np.pi))
     return phase_rotate(state, 1, rng.uniform(0.0, 2.0 * np.pi))

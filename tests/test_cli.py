@@ -123,6 +123,8 @@ def test_bounds_csv_format(capsys):
     ["sweep", "--quantity", "scheme_variance", "--delta", "2", "--steps", "5"],
     ["sweep", "--quantity", "duan_lhs", "--delta", "2", "--steps", "5"],
     ["bounds", "--probe", "tmst", "--r", "0.5", "--N", "1", "--M", "9" * 401],
+    # not positive definite (eigenvalues -1e308 and 1e308)
+    ["bounds", "--probe", "tmst", "--r", "0.5", "--N", "1", "--G", "1,1e308,1"],
 ])
 def test_usage_errors_exit_2(capsys, args):
     code, _, err = run_cli(capsys, args)
@@ -198,11 +200,14 @@ def test_library_value_errors_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("args", [["--probe", "tmst", "--r", "200", "--N", "0.5"],
                                   ["--probe", "tmst", "--r", "360", "--N", "0.5"],
-                                  ["--probe", "single", "--r", "400", "--N", "0.5"]],
-                         ids=["tmst-200", "tmst-360", "single-400"])
+                                  ["--probe", "single", "--r", "400", "--N", "0.5"],
+                                  ["--probe", "tmst", "--r", "0.5", "--N", "1",
+                                   "--G", "1e308,0,1e308"]],
+                         ids=["tmst-200", "tmst-360", "single-400", "G-1e308"])
 def test_bounds_at_the_edge_of_the_float_range(capsys, args):
     """B_R stays exact while sinh^4 r overflows (r = 200); once H overflows,
-    bounds exits 3 with one line and no floating-point warning."""
+    or a positive weight of 1e308 takes the bounds past the range, bounds
+    exits 3 with one line and no floating-point warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, ["bounds", *args])
@@ -234,6 +239,22 @@ def test_curves_past_the_float_range_exit_3(capsys, tmp_path, args):
     assert err == ("numerical failure: values at r in [300, 400] are outside "
                    "the floating-point range\n")
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--quantity", "b_mi", "--N", "1e150", "--delta", "1", "--steps", "3"],
+    ["sweep", "--quantity", "b_rld", "--N", "1e150", "--delta", "1", "--steps", "3"],
+    ["bounds", "--probe", "tmst", "--r", "1", "--N", "1e150", "--delta", "1"],
+], ids=["sweep-b_mi", "sweep-b_rld", "bounds"])
+def test_b_mi_does_not_hide_an_out_of_range_b_rld(capsys, args):
+    """At N = 1e150 with a prior, J^-1 overflows and B_R is NaN while B_S = 2
+    is finite.  B_MI = max(B_S, B_R) would read 2, so every command that
+    computes B_R checks it: exit 3 with one line and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, args)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("N, r_min, r_max, steps", [(1.0, 0.0, 12.0, 25),
@@ -363,6 +384,25 @@ def test_simulate_target_past_the_float_range_exits_3(capsys, args):
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert err == ("numerical failure: the target MSE is outside the "
+                   "floating-point range\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["--baseline", "--q0", "1e308", "--p0", "-1", "--shots", "200", "--seed", "1"],
+    ["--r", "0.5", "--N", "1", "--q0", "0", "--p0", "0", "--jitter", "1e160,0"],
+    ["--r", "0.5", "--N", "1", "--prior-delta", "1e308", "--scaling", "none"],
+    ["--baseline", "--q0", "1e303", "--p0", "0", "--shots", "400000"],
+], ids=["mean-q0-1e308", "fourth-jitter-1e160", "prior-delta-1e308", "total-13-chunks"])
+def test_simulate_sums_past_the_float_range_exit_3(capsys, args):
+    """The target is finite, but a sum over the shots is not: the estimates'
+    sum at q0 = 1e308, the fourth moments of errors ~1e80, the squared draws
+    of a prior of width 1e308, or 13 chunk sums of ~3e307 each.  One stderr
+    line and exit 3, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["simulate", "--shots", "1000", *args])
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: the Monte Carlo sums are outside the "
                    "floating-point range\n")
 
 

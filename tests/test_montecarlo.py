@@ -454,6 +454,17 @@ def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
         run_scheme(scheme_cfg(shots=1000, r=0.0, N=1e308))
 
 
+def test_sums_past_the_float_range_raise():
+    """The target is finite, but the sum of the estimates at q0 = 1e308, and
+    the sum of squared prior draws of width 1e300 in the K scan, are not:
+    ValueError, with no warning from any thread."""
+    with pytest.raises(ValueError, match="Monte Carlo sums"):
+        run_scheme(scheme_cfg(shots=1000, q0=1e308))
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="Monte Carlo sums"):
+            empirical_K_min(0.5, 0.5, 1e300, 2 * _CHUNK, [0.5, 1.0], workers=workers)
+
+
 def test_each_runner_takes_only_its_probe(monkeypatch):
     """The scheme needs a two-mode probe and the heterodyne baseline the
     coherent one; the other is a ValueError, with no shot drawn."""
