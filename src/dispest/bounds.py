@@ -297,9 +297,11 @@ def bound_rld(fm: FisherMatrices, weight: np.ndarray | None = None,
 def thresholds(N: float) -> tuple[float, float]:
     """Squeezing thresholds (r_ths, r_sql) of the symmetric two-mode probe.
 
-    r_ths = arccosh(2N+1)/2 is where the most-informative branch switches from
-    RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 is where the double-homodyne
-    scheme starts to beat the standard quantum limit.
+    r_ths = arccosh(2N+1)/2 = asinh(sqrt N) is where the most-informative
+    branch switches from RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 =
+    log1p(2N)/2 is where the double-homodyne scheme starts to beat the
+    standard quantum limit.  The second forms keep full precision at small N
+    and stay finite where 4N^2 overflows.
     """
     check_probe(N=N)
     return _thresholds(N)
@@ -307,35 +309,34 @@ def thresholds(N: float) -> tuple[float, float]:
 
 def _thresholds(N) -> tuple[float, float]:
     N = float(N)  # Python floats leave the range without a warning
-    r_ths = 0.5 * np.arccosh(2.0 * N + 1.0)
-    r_sql = 0.25 * np.log1p(4.0 * N + 4.0 * N * N)
-    return float(r_ths), float(r_sql)
+    return float(np.arcsinh(np.sqrt(N))), float(0.5 * np.log1p(2.0 * N))
 
 
 def scheme_variance_sum(r, N, N2=None):
     """Variance sum 2(N + N2 + 1)e^{-2r} of the double-homodyne scheme, which
     is 2(2N+1)e^{-2r} for the symmetric probe (N2 = N); broadcasts over r, N
-    and N2."""
-    check_probe(r, N, N2, "tmst" if N2 is None else "tmst_asym")
-    return _tmst_form(r, N, N2).E
+    and N2, and raises ValueError where a value is outside the float range."""
+    kind = "tmst" if N2 is None else "tmst_asym"
+    check_probe(r, N, N2, kind)
+    return _column("scheme_variance", kind, r, N, N2)
 
 
 def gap_D(r, N):
     """Relative gap (E - B_MI)/B_MI between the scheme variance sum and the
     flat-prior most-informative bound; equals e^{-4r} on the N = 0 line.
-    Broadcasts over r and N.  Uses the paper's closed forms as written, since
-    at large r the gap is a difference of nearly equal terms."""
+    Broadcasts over r and N; ValueError where a value is outside the float
+    range (r above ~355).  Uses the paper's closed forms as written, since at
+    large r the gap is a difference of nearly equal terms."""
     check_probe(r, N, kind="tmst")
-    return _gap_D(r, N)
+    return _column("gap", "tmst", r, N)
 
 
 def _gap_D(r, N):
     r, N = np.asarray(r, dtype=float), np.asarray(N, dtype=float)
     c = np.cosh(2.0 * r)
     b_s = (2.0 * N + 1.0) / c
-    with np.errstate(invalid="ignore"):  # B_R is 0/0 only at r = N = 0
-        b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * c - 1.0)
-    b_mi = np.fmax(b_s, b_r)
+    b_r = 4.0 * N * (1.0 + N) / ((2.0 * N + 1.0) * c - 1.0)
+    b_mi = np.fmax(b_s, b_r)   # B_R is 0/0 only at r = N = 0
     E = _tmst_form(r, N).E
     return ((E - b_mi) / b_mi)[()]
 
@@ -386,17 +387,6 @@ def check_in_range(r, *values) -> None:
         raise ValueError(f"values at {at} are outside the floating-point range")
 
 
-def _probe_bounds(kind, r, N, N2, delta, weight=None, shots=1):
-    """B_S, B_R, B_MI and the RLD-branch mask of one probe point on checked
-    inputs; ValueError where a Fisher entry or a bound is outside the
-    floating-point range."""
-    with np.errstate(all="ignore"):  # values out of range raise below
-        h, j_inv = _probe_fisher(kind, r, N, N2)
-        bounds = _bounds(h, j_inv, delta, weight, shots)
-    check_in_range(r, *h, *j_inv, *bounds[:2])
-    return bounds
-
-
 def _column(quantity, kind, r, N, N2=None, delta=None):
     """One sweep quantity over r on checked inputs, from only the kernels it
     needs: 'b_sld', 'b_rld', 'b_mi', or, for the symmetric probe at a flat
@@ -430,8 +420,10 @@ def bound_most_informative(query: BoundQuery) -> BoundReport:
     r ~ 355).  The query was checked when it was built, so the private cores
     run here without a second check.
     """
-    b_s, b_r, b_mi, rld = _probe_bounds(query.kind, query.r, query.N, query.N2,
-                                        query.delta, query.weight, query.shots)
+    with np.errstate(all="ignore"):  # values out of range raise below
+        h, j_inv = _probe_fisher(query.kind, query.r, query.N, query.N2)
+        b_s, b_r, b_mi, rld = _bounds(h, j_inv, query.delta, query.weight, query.shots)
+    check_in_range(query.r, *h, *j_inv, b_s, b_r)
     r_ths = r_sql = scheme_variance = gap = None
     if query.kind == "tmst":
         scheme_variance = _column("scheme_variance", "tmst", query.r, query.N)

@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundQuery, RLDUnavailableError, _column, _probe_bounds,
-                     bound_most_informative, check_in_range, scaling_factors)
+from .bounds import (BoundQuery, RLDUnavailableError, _column, bound_most_informative,
+                     check_in_range, scaling_factors)
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
 
 FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     # B_MI before the run, so that a bound out of range exits 3 before sampling
-    bound = _probe_bounds(cfg.kind, cfg.r or 0.0, cfg.N or 0.0, cfg.N2, cfg.prior_delta)[2]
+    bound = _column("b_mi", cfg.kind, cfg.r or 0.0, cfg.N or 0.0, cfg.N2, cfg.prior_delta)
     runner = run_baseline_heterodyne if args.baseline else run_scheme
     result = runner(cfg, record_shots=args.dump_shots is not None)
 

@@ -179,9 +179,9 @@ def _sector_squeeze_blocks(r: float, dim: int) -> list:
 @dataclass(frozen=True)
 class FockOperatorSet:
     """Truncated probe for the oracle: eigenvector blocks (one per difference
-    sector for two modes, one dense block for one mode) and the thermal log
-    probabilities of their columns by Fock label (a (dim, dim) grid over
-    (n, m) for two modes).
+    sector d, at blocks[dim - 1 + d], for two modes, where d and -d share one
+    block; one dense block for one mode) and the thermal log probabilities of
+    their columns by Fock label (a (dim, dim) grid over (n, m) for two modes).
     """
 
     kind: str
@@ -210,37 +210,21 @@ class FockOperatorSet:
     def purity(self) -> float:
         return float(np.sum(np.exp(self.log_probs) ** 2))
 
-    def number_diagonal(self) -> np.ndarray:
-        """Diagonal of rho0 in the bare Fock basis.
-
-        Two-mode sectors ±s share one block, so each zero-padded stack of
-        _groups takes one batched product with the column probabilities of
-        both sectors, p[k + s, k] and p[k, k + s]; p is padded with zero rows
-        so that the padded columns read 0."""
-        p = np.exp(self.log_probs)
-        if self.modes == 1:
-            return (self.blocks[0] ** 2) @ p
-        dim, level = self.dim, np.arange(self.dim)
-        pad = np.zeros((2, 2 * dim, dim))   # at (k + s, k): p[k + s, k], p[k, k + s]
-        pad[0, :dim], pad[1, :dim] = p, p.T
-        out = np.zeros_like(pad)
-        for group in _groups([dim - s for s in range(dim)]):
-            n0, s = dim - group.start, level[group, None]
-            k = level[:n0]
-            cols = pad[:, k + s, k].transpose(1, 2, 0)   # (count, n0, 2)
-            cols[s[:, 0] == 0, :, 1] = 0.0                # sector 0 once
-            x = _stack(self.blocks[dim - 1:][group], n0) ** 2 @ cols
-            out[:, k + s, k] = x.transpose(2, 0, 1)
-        return (out[0, :dim] + out[1, :dim].T).ravel()
-
     def tail_mass(self) -> float:
-        """Probability weight on the top 10% of Fock levels of any mode."""
-        cut = ceil(0.9 * self.dim)
-        diag = self.number_diagonal()
+        """Probability weight on the top 10% of Fock levels of any mode, summed
+        over the tail rows of the blocks only, so that no term is negative.
+
+        Two-mode sectors ±s share one block, whose row k holds levels k + s
+        and k: rows k >= cut - s lie in the tail, and each column j carries
+        the probabilities p[j + s, j] + p[j, j + s] of both sectors."""
+        cut, p = ceil(0.9 * self.dim), np.exp(self.log_probs)
         if self.modes == 1:
-            return float(np.sum(diag[cut:]))
-        grid = diag.reshape(self.dim, self.dim)
-        return float(max(np.sum(grid) - np.sum(grid[:cut, :cut]), 0.0))
+            return float(np.sum(self.blocks[0][cut:] ** 2 @ p))
+        tail = 0.0
+        for s, U in enumerate(self.blocks[self.dim - 1:]):
+            cols = np.diagonal(p, -s) + np.diagonal(p, s) if s else np.diagonal(p)
+            tail += np.sum(U[max(cut - s, 0):] ** 2 @ cols)
+        return float(tail)
 
 
 def _on_modes(probe: FockOperatorSet, ops: dict) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gaussian import (GaussianState, beamsplit_balanced, check_probe, make_tmst,
                        phase_rotate)
-from .bounds import thresholds
+from .bounds import check_in_range, thresholds
 
 _STRICT_TOL = 1e-12
 _SYM_TOL = 1e-10
@@ -149,9 +149,13 @@ def asym_n2_threshold(r: float, n1: float = 0.0) -> float:
 
     The scheme variance sum 2(n1 + N2 + 1)e^{-2r} crosses 2 at
     N2 = e^{2r} - 1 - n1; zero when the probe never beats the SQL.
+    ValueError where e^{2r} overflows (r above ~355).
     """
     check_probe(r, n1)
-    return float(max(np.expm1(2.0 * r) - n1, 0.0))
+    with np.errstate(over="ignore"):  # raises below
+        n2 = np.expm1(2.0 * r) - n1
+    check_in_range(r, n2)
+    return float(max(n2, 0.0))
 
 
 def random_unsqueezed_two_mode(rng: np.random.Generator) -> GaussianState:

@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dispest import cli, fock
-from dispest.bounds import _bounds, _mat, _probe_fisher
-from dispest.gaussian import tmst_cov
-from dispest import (BoundQuery, RLDUnavailableError, bound_most_informative,
-                     bound_rld, bound_sld, displace, displace_fock,
+from dispest.bounds import _bounds, _gap_D, _mat, _probe_fisher
+from dispest.gaussian import _tmst_form, tmst_cov
+from dispest import (BoundQuery, RLDUnavailableError, asym_n2_threshold,
+                     bound_most_informative, bound_rld, bound_sld, displace, displace_fock,
                      duan_check, empirical_K_min, evaluate_bounds, gap_D,
                      gaussian_fisher, make_squeezed_thermal, make_thermal,
                      make_tmst, moments_fock, prior_fisher_gaussian, probe_fisher,
@@ -132,11 +132,23 @@ def test_thresholds():
     assert np.isclose(r_ths, 0.8814, atol=5e-5)
 
 
+@pytest.mark.parametrize("N", [1e-20, 1e-16, 1e-12, 1e155])
+def test_thresholds_match_mpmath(N):
+    """arccosh(2N + 1) loses the digits of 2N at small N, and 4N^2 overflows
+    at large N; asinh(sqrt N) and log1p(2N)/2 keep full precision."""
+    with mpmath.workdps(50):
+        n = mpmath.mpf(N)
+        want = (mpmath.acosh(2 * n + 1) / 2, mpmath.log(1 + 4 * n + 4 * n * n) / 4)
+        want = tuple(float(x) for x in want)
+    assert thresholds(N) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_scheme_variance_sum():
     assert scheme_variance_sum(0.0, 0.0) == 2.0
     assert np.isclose(scheme_variance_sum(1.0, 0.5), 4 * np.exp(-2))
     with pytest.raises(ValueError):
         scheme_variance_sum(-0.1, 0.0)
+    assert scheme_variance_sum(400.0, 1.0) == 0.0   # underflows without a warning
 
 
 def test_gap_examples():
@@ -390,11 +402,14 @@ def _fock_vacuum():
     (lambda: tmst_cov(None, 0.3), "needs r and N"),
     (lambda: scheme_variance_sum(None, 0.3), "needs r and N"),
     (lambda: gap_D(None, 0.3), "needs r and N"),
+    (lambda: gap_D(400.0, 1.0), "floating-point range"),
+    (lambda: asym_n2_threshold(400.0), "floating-point range"),
 ])
 def test_bad_arguments_raise_at_entry(call, match):
     """NaN, an infinite displacement, a zero shot count or prior width, an
     unknown operator name or a missing probe parameter is a ValueError naming
-    the argument, with no warning on the way."""
+    the argument, and a closed form past the float range (r = 400) one naming
+    the range, with no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
@@ -551,10 +566,10 @@ def test_entry_route_matches_the_stacked_route(kind, r_max, steps, N, N2, delta,
                             shots=shots))
         checked = [fm.H[i], fm.j_inv[i], ref[0][i], ref[1][i]]
         if kind == "tmst":
-            with np.errstate(all="ignore"):
-                checked.append(scheme_variance_sum(grid[i], N))
+            with np.errstate(all="ignore"):  # the public wrappers raise here
+                checked.append(_tmst_form(grid[i], N).E)
                 if delta is None and G is None and shots == 1:
-                    checked.append(gap_D(grid[i], N))
+                    checked.append(_gap_D(grid[i], N))
         try:
             report = bound_most_informative(query)
         except ValueError:
