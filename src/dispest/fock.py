@@ -220,11 +220,9 @@ class FockOperatorSet:
         cut, p = ceil(0.9 * self.dim), np.exp(self.log_probs)
         if self.modes == 1:
             return float(np.sum(self.blocks[0][cut:] ** 2 @ p))
-        tail = 0.0
-        for s, U in enumerate(self.blocks[self.dim - 1:]):
-            cols = np.diagonal(p, -s) + np.diagonal(p, s) if s else np.diagonal(p)
-            tail += np.sum(U[max(cut - s, 0):] ** 2 @ cols)
-        return float(tail)
+        p = p + np.triu(p.T, 1)   # diagonal s > 0: p[j, j + s] + p[j + s, j]
+        return float(sum(np.sum(U[max(cut - s, 0):] ** 2 @ np.diagonal(p, s))
+                         for s, U in enumerate(self.blocks[self.dim - 1:])))
 
 
 def _on_modes(probe: FockOperatorSet, ops: dict) -> np.ndarray:
