@@ -301,15 +301,16 @@ def thresholds(N: float) -> tuple[float, float]:
     branch switches from RLD to SLD; r_sql = ln(1 + 4N + 4N^2)/4 =
     log1p(2N)/2 is where the double-homodyne scheme starts to beat the
     standard quantum limit.  The second forms keep full precision at small N
-    and stay finite where 4N^2 overflows.
+    and stay finite up to the largest float.
     """
     check_probe(N=N)
     return _thresholds(N)
 
 
 def _thresholds(N) -> tuple[float, float]:
-    N = float(N)  # Python floats leave the range without a warning
-    return float(np.arcsinh(np.sqrt(N))), float(0.5 * np.log1p(2.0 * N))
+    N = float(N)  # log 2 + log N above 1e300, since 2N overflows past ~9e307
+    r_sql = np.log1p(2.0 * N) if N < 1e300 else np.log(2.0) + np.log(N)
+    return float(np.arcsinh(np.sqrt(N))), float(0.5 * r_sql)
 
 
 def scheme_variance_sum(r, N, N2=None):

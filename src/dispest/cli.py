@@ -114,13 +114,9 @@ def cmd_bounds(args) -> int:
         "delta": query.delta, "M": query.shots,
         "G": args.G,
     }
-    results = {
-        "b_sld": report.b_sld, "b_rld": report.b_rld, "b_mi": report.b_mi,
-        "branch": report.branch, "r_ths": report.r_ths, "r_sql": report.r_sql,
-        "scheme_variance": report.scheme_variance, "gap": report.gap,
-    }
+    results = vars(report)  # the record's fields in order; read, not changed
     if args.format == "csv":
-        cols = [k for k, v in results.items() if isinstance(v, (int, float)) and v is not None]
+        cols = [k for k, v in results.items() if isinstance(v, (int, float))]
         _write_csv(None, cols, [[results[k] for k in cols]], "bounds", config)
     else:
         print(json.dumps(_emit_record("bounds", config, results, started), indent=2))
@@ -163,21 +159,14 @@ def cmd_simulate(args) -> int:
         "prior_delta": cfg.prior_delta, "scaling": args.scaling,
         "jitter": list(cfg.jitter) if cfg.jitter else None, "workers": thread_count(cfg),
     }
-    results = {key: getattr(result, key) for key in (
-        "k_used", "mean_q", "mean_p", "bias_q", "bias_p", "mse_q", "mse_p", "mse_sum",
-        "se_mse_q", "se_mse_p", "se_mse_sum", "target_mse_sum")}
+    results = {key: value for key, value in vars(result).items()
+               if key not in ("config", "shots", "per_shot")}
     results["z_vs_target"] = ((result.mse_sum - result.target_mse_sum) / result.se_mse_sum
                               if result.se_mse_sum > 0 else 0.0)
     results["bound_mi"] = float(bound)
     if args.dump_shots:
-        shots = result.per_shot
-        rows = zip(range(result.shots), shots["q0"], shots["p0"],
-                   shots["outcome_q"], shots["outcome_p"],
-                   shots["estimate_q"], shots["estimate_p"])
-        _write_csv(args.dump_shots,
-                   ["shot", "q0", "p0", "outcome_q", "outcome_p",
-                    "estimate_q", "estimate_p"],
-                   rows, "simulate", config)
+        rows = zip(range(result.shots), *result.per_shot.values())
+        _write_csv(args.dump_shots, ["shot", *result.per_shot], rows, "simulate", config)
     print(json.dumps(_emit_record("simulate", config, results, started), indent=2))
     return 0
 
@@ -206,8 +195,8 @@ def cmd_figure(args) -> int:
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
         columns = [grid] + [_column("gap", "tmst", grid, n) for n in ns]
-        _write_csv(os.path.join(out, "fig2.csv"),
-                   ["r", "D_N0", "D_N0.5", "D_N2"], _rows(columns), "figure", config)
+        _write_csv(os.path.join(out, "fig2.csv"), ["r"] + [f"D_N{n:g}" for n in ns],
+                   _rows(columns), "figure", config)
         print(os.path.join(out, "fig2.csv"))
         return 0
 
@@ -333,12 +322,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output path not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RLDUnavailableError, OverflowError, ValueError) as exc:
-        # input is validated before the library runs, so a ValueError from
-        # inside it (an unphysical covariance, say) is a numerical fault
+    except (RLDUnavailableError, OverflowError, ValueError, MemoryError) as exc:
+        # input is validated before the library runs, so a ValueError from inside
+        # it (an unphysical covariance, say) or a MemoryError is a numerical fault
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

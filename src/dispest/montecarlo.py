@@ -293,7 +293,7 @@ class KMinScan:
 
 
 def empirical_K_min(r: float, N: float, delta: float, shots: int,
-                    k_grid, seed: int = 0, workers: int | None = None) -> KMinScan:
+                    k_grid, seed: int = 0) -> KMinScan:
     """Scan the estimator scaling K on common random draws of the scheme.
 
     The outcomes do not depend on K, so one set of draws serves the whole
@@ -301,13 +301,12 @@ def empirical_K_min(r: float, N: float, delta: float, shots: int,
     in K: with o the outcomes, θ the true parameters and e = √2·o − θ,
     M·MSE(K) = K²Σe² + 2K(K−1)Σe·θ + (K−1)²Σθ², so three sums give every K.
     Each term is then of the size of the result near K*, with no Δ²/MSE
-    cancellation.
+    cancellation.  The draws run on every core, as a run with no workers cap.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size < 2 or not np.all((k_grid > 0) & (k_grid <= 1.0 + 1e-12)):
         raise ValueError("k_grid must span values in (0, 1]")
-    cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, prior_delta=delta,
-                           workers=workers)
+    cfg = EstimationConfig(shots=shots, seed=seed, r=r, N=N, prior_delta=delta)
     sd = np.sqrt(_quadrature_variance(cfg))
     (s_ee, s_et, s_tt), _ = _sample(cfg, _SQRT2, [sd, sd], _SQRT2, scan=True)
     mse = (k_grid ** 2 * s_ee + 2.0 * k_grid * (k_grid - 1.0) * s_et

@@ -132,10 +132,12 @@ def test_thresholds():
     assert np.isclose(r_ths, 0.8814, atol=5e-5)
 
 
-@pytest.mark.parametrize("N", [1e-20, 1e-16, 1e-12, 1e155])
+@pytest.mark.parametrize("N", [1e-20, 1e-16, 1e-12, 1e155, 1e308,
+                               1.7976931348623157e308])
 def test_thresholds_match_mpmath(N):
     """arccosh(2N + 1) loses the digits of 2N at small N, and 4N^2 overflows
-    at large N; asinh(sqrt N) and log1p(2N)/2 keep full precision."""
+    at large N; asinh(sqrt N) and log1p(2N)/2 keep full precision, with
+    log 2 + log N where 2N overflows."""
     with mpmath.workdps(50):
         n = mpmath.mpf(N)
         want = (mpmath.acosh(2 * n + 1) / 2, mpmath.log(1 + 4 * n + 4 * n * n) / 4)

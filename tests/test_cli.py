@@ -125,6 +125,11 @@ def test_bounds_csv_format(capsys):
     ["bounds", "--probe", "tmst", "--r", "0.5", "--N", "1", "--M", "9" * 401],
     # not positive definite (eigenvalues -1e308 and 1e308)
     ["bounds", "--probe", "tmst", "--r", "0.5", "--N", "1", "--G", "1,1e308,1"],
+    # output paths that cannot be written: nothing is created under them
+    ["sweep", "--quantity", "b_mi", "--steps", "3", "--out", "/nonexistent/x.csv"],
+    ["simulate", "--r", "1", "--N", "1", "--q0", "0", "--p0", "0", "--shots", "200",
+     "--dump-shots", "/nonexistent/x.csv"],
+    ["figure", "fig2", "--steps", "3", "--out", "/dev/null/sub"],
 ])
 def test_usage_errors_exit_2(capsys, args):
     code, _, err = run_cli(capsys, args)
@@ -219,6 +224,21 @@ def test_bounds_at_the_edge_of_the_float_range(capsys, args):
     with mpmath.workdps(30):  # 4N(N + 1)/((2N + 1) cosh 2r - 1)
         b_r = float(mpmath.mpf(3) / (2 * mpmath.cosh(400) - 1))
     assert load_record(out)["results"]["b_rld"] == pytest.approx(b_r, rel=1e-14)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--baseline", "--q0", "0", "--p0", "0",
+     "--shots", "100000000000000000000"],
+    ["sweep", "--quantity", "b_mi", "--steps", "10000000000000000"],
+], ids=["simulate-sums", "sweep-grid"])
+def test_impossible_allocations_exit_3(capsys, args):
+    """The sums array of 1e20 shots (152 PiB) and a grid of 1e16 points
+    (71 PiB) lie past any address space, so numpy fails to allocate them at
+    once: exit 3 with one line and no traceback."""
+    code, out, err = run_cli(capsys, args)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

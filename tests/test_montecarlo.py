@@ -257,8 +257,7 @@ def test_sampling_memory_is_bounded(monkeypatch, workers):
         lambda: run_scheme(scheme_cfg(shots=shots, workers=workers, q0=None,
                                       p0=None, prior_delta=2.0, scaling="optimal",
                                       jitter=(0.1, 0.0))),
-        lambda: empirical_K_min(1.0, 0.5, 2.0, shots, np.linspace(0.5, 1.0, 11),
-                                workers=workers),
+        lambda: empirical_K_min(1.0, 0.5, 2.0, shots, np.linspace(0.5, 1.0, 11)),
     ]
     for call in calls:
         tracemalloc.start()
@@ -333,13 +332,14 @@ def test_stream_contract(baseline, kw):
         assert np.isclose(err.mean(), getattr(res, f"mse_{quad}"), rtol=1e-12)
 
 
-def test_k_scan_exact():
+def test_k_scan_exact(monkeypatch):
     """The K scan from three sums equals the explicit per-K sums, also where
     the prior is wide against the noise."""
     r, N, shots, seed = 1.5, 0.2, 150_000, 21
     k_grid = np.linspace(0.8, 1.0, 41)
+    set_cores(monkeypatch, 2)
     for delta in (3.0, 1e3):
-        scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed, workers=2)
+        scan = empirical_K_min(r, N, delta, shots, k_grid, seed=seed)
         sd = np.sqrt(scheme_variance_sum(r, N) / 4)
         (tq, tp), (oq, op) = reference_draws(seed, shots, sd, delta=delta)
         explicit = np.array([(((SQRT2 * k * oq - tq) ** 2).sum()
@@ -387,13 +387,11 @@ def test_threaded_streams_match_serial(monkeypatch):
                      p0=None, scaling="optimal")
     set_cores(monkeypatch, 2)
     threaded = run_scheme(cfg, record_shots=True)
-    kmin_threaded = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
-                                    workers=3)
+    kmin_threaded = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0])
     assert pools == [2, 2]
     set_cores(monkeypatch, 1)
     serial = run_scheme(cfg, record_shots=True)
-    kmin_serial = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0],
-                                  workers=3)
+    kmin_serial = empirical_K_min(1.0, 0.5, 1.0, cfg.shots, [0.5, 1.0])
     assert pools == [2, 2]
     for key, values in serial.per_shot.items():
         assert np.array_equal(threaded.per_shot[key], values)
@@ -419,8 +417,7 @@ def test_results_independent_of_threads(monkeypatch):
         stats = [(res.mean_q, res.mean_p, res.mse_q, res.mse_p, res.mse_sum,
                   res.se_mse_q, res.se_mse_p, res.se_mse_sum) for res in runs]
         per_shot = run_scheme(replace(prior, workers=workers), record_shots=True).per_shot
-        scan = empirical_K_min(1.0, 0.5, 1.5, shots, np.linspace(0.5, 1.0, 11),
-                               seed=3, workers=workers)
+        scan = empirical_K_min(1.0, 0.5, 1.5, shots, np.linspace(0.5, 1.0, 11), seed=3)
         return stats, per_shot, scan.mse
 
     first = None
@@ -454,15 +451,16 @@ def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
         run_scheme(scheme_cfg(shots=1000, r=0.0, N=1e308))
 
 
-def test_sums_past_the_float_range_raise():
+def test_sums_past_the_float_range_raise(monkeypatch):
     """The target is finite, but the sum of the estimates at q0 = 1e308, and
     the sum of squared prior draws of width 1e300 in the K scan, are not:
     ValueError, with no warning from any thread."""
     with pytest.raises(ValueError, match="Monte Carlo sums"):
         run_scheme(scheme_cfg(shots=1000, q0=1e308))
-    for workers in (1, 2):
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
         with pytest.raises(ValueError, match="Monte Carlo sums"):
-            empirical_K_min(0.5, 0.5, 1e300, 2 * _CHUNK, [0.5, 1.0], workers=workers)
+            empirical_K_min(0.5, 0.5, 1e300, 2 * _CHUNK, [0.5, 1.0])
 
 
 def test_each_runner_takes_only_its_probe(monkeypatch):
