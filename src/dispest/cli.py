@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -55,7 +56,8 @@ def finite(text: str) -> float:
 
 def _write_csv(path, header_cols, rows, command: str, config: dict):
     """Write a commented header and one line per row, every number as %.17g
-    (the same text as format(float(x), ".17g"), so values round-trip)."""
+    (the same text as format(float(x), ".17g"), so values round-trip), to the
+    file name path, an open text file, or standard output if path is None."""
     row_fmt = ",".join(["%.17g"] * len(header_cols)) + "\n"
     lines = [f"# tool: dispest {__version__}\n",
              f"# command: {command}\n",
@@ -63,8 +65,8 @@ def _write_csv(path, header_cols, rows, command: str, config: dict):
              ",".join(header_cols) + "\n"]
     lines += [row_fmt % tuple(row) for row in rows]
     text = "".join(lines)
-    if path is None:
-        sys.stdout.write(text)
+    if path is None or hasattr(path, "write"):
+        (path or sys.stdout).write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
@@ -151,22 +153,23 @@ def cmd_simulate(args) -> int:
     # B_MI before the run, so that a bound out of range exits 3 before sampling
     bound = _column("b_mi", cfg.kind, cfg.r or 0.0, cfg.N or 0.0, cfg.N2, cfg.prior_delta)
     runner = run_baseline_heterodyne if args.baseline else run_scheme
-    result = runner(cfg, record_shots=args.dump_shots is not None)
-
     config = {
         "baseline": args.baseline, "r": cfg.r, "N": cfg.N, "N2": cfg.N2,
         "shots": cfg.shots, "seed": cfg.seed, "q0": cfg.q0, "p0": cfg.p0,
         "prior_delta": cfg.prior_delta, "scaling": args.scaling,
         "jitter": list(cfg.jitter) if cfg.jitter else None, "workers": thread_count(cfg),
     }
+    # the dump file opens before sampling, so an unwritable path exits 2 at once
+    with open(args.dump_shots, "w") if args.dump_shots else nullcontext() as dump:
+        result = runner(cfg, record_shots=dump is not None)
+        if dump is not None:
+            rows = zip(range(result.shots), *result.per_shot.values())
+            _write_csv(dump, ["shot", *result.per_shot], rows, "simulate", config)
     results = {key: value for key, value in vars(result).items()
                if key not in ("config", "shots", "per_shot")}
     results["z_vs_target"] = ((result.mse_sum - result.target_mse_sum) / result.se_mse_sum
                               if result.se_mse_sum > 0 else 0.0)
     results["bound_mi"] = float(bound)
-    if args.dump_shots:
-        rows = zip(range(result.shots), *result.per_shot.values())
-        _write_csv(args.dump_shots, ["shot", *result.per_shot], rows, "simulate", config)
     print(json.dumps(_emit_record("simulate", config, results, started), indent=2))
     return 0
 

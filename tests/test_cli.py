@@ -563,6 +563,22 @@ def test_simulate_baseline_prior(capsys):
     assert rec["results"]["bound_mi"] == 1.0
 
 
+@pytest.mark.parametrize("flag", [[], ["--baseline"]])
+def test_unwritable_dump_path_exits_2_before_sampling(capsys, monkeypatch, tmp_path, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampled before opening the dump file")
+
+    monkeypatch.setattr(cli, "run_scheme", no_run)
+    monkeypatch.setattr(cli, "run_baseline_heterodyne", no_run)
+    probe = [] if flag else ["--r", "1", "--N", "1"]
+    code, out, err = run_cli(capsys, ["simulate", *flag, *probe, "--q0", "0", "--p0", "0",
+                                      "--shots", "200", "--dump-shots",
+                                      str(tmp_path / "missing" / "x.csv")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_simulate_dump_shots(capsys, tmp_path):
     path = tmp_path / "shots.csv"
     code, out, _ = run_cli(capsys, ["simulate", "--r", "0.5", "--N", "0.2",
