@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -70,6 +70,34 @@ def _write_csv(path, header_cols, rows, command: str, config: dict):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+@contextmanager
+def _file_on_success(path: str):
+    """A text file opened before the block runs, so that a path that cannot
+    be written fails before any sampling.  A new or regular file is written
+    under a temporary name beside it and renamed onto the path only when the
+    block succeeds, so a failed run leaves no file and an existing one as it
+    was; anything else, such as /dev/null, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)   # a symlink's target takes the file, not the link
+    if os.path.exists(path):
+        open(path, "a").close()   # an existing file that cannot be written fails here
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:   # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _numbers(text: str, count: int, option: str) -> list[float]:
@@ -159,8 +187,7 @@ def cmd_simulate(args) -> int:
         "prior_delta": cfg.prior_delta, "scaling": args.scaling,
         "jitter": list(cfg.jitter) if cfg.jitter else None, "workers": thread_count(cfg),
     }
-    # the dump file opens before sampling, so an unwritable path exits 2 at once
-    with open(args.dump_shots, "w") if args.dump_shots else nullcontext() as dump:
+    with _file_on_success(args.dump_shots) if args.dump_shots else nullcontext() as dump:
         result = runner(cfg, record_shots=dump is not None)
         if dump is not None:
             rows = zip(range(result.shots), *result.per_shot.values())

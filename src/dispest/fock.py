@@ -26,11 +26,10 @@ diagonal within a sector, so ||G u_s||^2 = sum_i U_is^2 (n_i + (n_i + 1)[n_i <
 dim - 1])/2, n_i the mode-0 level of row i.  fock_fisher_converged rejects a
 probe whose leakage exceeds its tolerance.  Two-mode blocks of consecutive
 |d| are built and passed in zero-padded stacks of at most _STACK_BYTES, so
-that per-call overhead does not dominate.  A built probe copies each block
-out of its stack.  The check probe of fock_fisher_converged, at dim + 5, is
-never built: each stack of its squeezer goes straight into the pass, which
-takes no leakage for it, so the oracle's peak holds the first probe, about
-two group stacks and one pass.  The Fisher matrices of a displacement model
+that per-call overhead does not dominate; each block is copied out of its
+stack.  fock_fisher_converged releases its first probe before it builds the
+check probe at dim + 5, whose pass takes no leakage, so one probe and one
+pass are in memory at a time.  The Fisher matrices of a displacement model
 do not depend on the displacement, so the oracle takes them from undisplaced
 probes only; displace_fock returns the displaced density matrix D rho D†.
 The oracle needs numpy alone: the squeezer blocks and the displacement come
@@ -40,7 +39,6 @@ from np.linalg.eigh, so that no second linear-algebra library is loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
 from math import ceil
 
 import numpy as np
@@ -107,7 +105,7 @@ def _stack(blocks: list, size: int) -> np.ndarray:
     return stack
 
 
-def _expm_tridiagonal(C: np.ndarray, sizes: list):
+def _expm_tridiagonal(C: np.ndarray, sizes: list) -> list:
     """exp(G) for blocks of the non-increasing sizes: row i of C holds block
     i's G[k, k+1] = c[k] = -G[k+1, k] in its first sizes[i] - 1 entries and
     zeros after, so exp(G) is real orthogonal.
@@ -118,10 +116,9 @@ def _expm_tridiagonal(C: np.ndarray, sizes: list):
     exp(G) = [[V cos(w) V^T, V sinc(w) W^T], [-W sinc(w) V^T, I - W f(w) W^T]].
     Each block is a function of B B^T and B, so zero padding changes none of
     its entries: consecutive blocks go through one eigh and one set of
-    products as a zero-padded stack U, yielded as (group, U) with block
-    group.start + i in U[i, :n, :n], n its size.  U is n0 or n0 + 1 wide, n0
-    the group's first size, and holds exp(0) = I, not zeros, past each block.
+    products as a zero-padded stack, from which each block is copied out.
     """
+    out = []
     for group in _groups(sizes):
         n0 = sizes[group.start]
         half = (n0 + 1) // 2
@@ -145,13 +142,8 @@ def _expm_tridiagonal(C: np.ndarray, sizes: list):
         U[:, 1::2, ::2] = -EO.transpose(0, 2, 1)
         f = 0.5 * np.sinc(w / (2.0 * np.pi)) ** 2     # (1 - cos w)/w^2
         U[:, 1::2, 1::2] = np.eye(half) - (W * f) @ Wt
-        yield group, U
-
-
-def _blocks(stacks, sizes: list):
-    """The blocks of the sizes, as views into the (group, U) stacks."""
-    for group, U in stacks:
-        yield from (U[i, :n, :n] for i, n in enumerate(sizes[group]))
+        out += [U[i, :n, :n].copy() for i, n in enumerate(sizes[group])]
+    return out
 
 
 def _single_squeeze_unitary(r: float, dim: int) -> np.ndarray:
@@ -160,9 +152,8 @@ def _single_squeeze_unitary(r: float, dim: int) -> np.ndarray:
     k = np.arange(dim - 2.0)
     c = np.zeros(dim - dim % 2)   # even length, so c[0::2] and c[1::2] are two rows
     c[:dim - 2] = -0.5 * r * np.sqrt((k + 1) * (k + 2))   # couples k and k + 2
-    sizes = [(dim + 1) // 2, dim // 2]
-    for parity, block in enumerate(_blocks(_expm_tridiagonal(c.reshape(-1, 2).T, sizes),
-                                           sizes)):
+    blocks = _expm_tridiagonal(c.reshape(-1, 2).T, [(dim + 1) // 2, dim // 2])
+    for parity, block in enumerate(blocks):
         U[parity::2, parity::2] = block
     return U
 
@@ -174,9 +165,8 @@ def _sector_states(dim: int, d: int) -> np.ndarray:
     return (k + a0) * dim + (k + b0)
 
 
-def _sector_squeezer(r: float, dim: int):
-    """exp(-r(a†b† - ab)) on the sectors |d| = |n - m| = 0 .. dim-1, as the
-    (group, U) stacks of _expm_tridiagonal, block |d| = s of size dim - s.
+def _sector_squeeze_blocks(r: float, dim: int) -> list:
+    """Blocks of exp(-r(a†b† - ab)) on the sectors d = n - m = -(dim-1) .. dim-1.
 
     The generator weights r sqrt(k (k + |d|)), k = 1 .. dim - 1 - |d|, depend
     on |d| only, so sectors d and -d share one block; row s of one (dim,
@@ -184,13 +174,7 @@ def _sector_squeezer(r: float, dim: int):
     """
     k, s = np.arange(1.0, dim), np.arange(dim)[:, None]
     C = np.where(k + s < dim, r * np.sqrt(k * (k + s)), 0.0)
-    return _expm_tridiagonal(C, list(range(dim, 0, -1)))
-
-
-def _sector_squeeze_blocks(r: float, dim: int) -> list:
-    """Blocks of the squeezer on the sectors d = -(dim-1) .. dim-1, each
-    copied out of its stack."""
-    blocks = [U.copy() for U in _blocks(_sector_squeezer(r, dim), list(range(dim, 0, -1)))]
+    blocks = _expm_tridiagonal(C, list(range(dim, 0, -1)))
     return blocks[:0:-1] + blocks
 
 
@@ -333,17 +317,13 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
 def _build_at_dim(kind: str, r: float, N: float, N2: float | None,
                   dim: int) -> FockOperatorSet:
     ops = dict(kind=kind, params=(r, N) if N2 is None else (r, N, N2), dim=dim)
+    lp = thermal_log_probs(N, dim)
     if kind == "single":
         return FockOperatorSet(modes=1, blocks=[_single_squeeze_unitary(r, dim)],
-                               log_probs=thermal_log_probs(N, dim), **ops)
+                               log_probs=lp, **ops)
     return FockOperatorSet(modes=2, blocks=_sector_squeeze_blocks(r, dim),
-                           log_probs=_two_mode_log_probs(N, N2, dim), **ops)
-
-
-def _two_mode_log_probs(N: float, N2: float | None, dim: int) -> np.ndarray:
-    """Thermal log probabilities on the (n, m) grid of a two-mode probe."""
-    return np.add.outer(thermal_log_probs(N, dim),
-                        thermal_log_probs(N if N2 is None else N2, dim))
+                           log_probs=np.add.outer(lp, thermal_log_probs(
+                               N if N2 is None else N2, dim)), **ops)
 
 
 def _displacement(dim: int, q0: float, p0: float) -> np.ndarray:
@@ -364,14 +344,14 @@ def displace_fock(probe: FockOperatorSet, mode: int, q0: float, p0: float) -> np
     return D @ probe.rho0 @ D.conj().T
 
 
-def _single_mode_pairs(U: np.ndarray, lp: np.ndarray, leakage: bool):
+def _single_mode_pairs(probe: FockOperatorSet, leakage: bool):
     """T of (a - a†)/sqrt(2) and q on the level pairs (s, s + 1), the log
     probabilities of each pair, and (if leakage) each column's full sum
     minus its pairs.  Both operators are tridiagonal, so their products with
     U cost O(dim^2)."""
-    dim = len(lp)
-    s = np.sqrt(np.arange(1.0, dim) / 2.0)[:, None]
-    zero = np.zeros((1, dim))
+    U, lp = probe.blocks[0], probe.log_probs
+    s = np.sqrt(np.arange(1.0, probe.dim) / 2.0)[:, None]
+    zero = np.zeros((1, probe.dim))
     up, down = np.vstack((s * U[1:], zero)), np.vstack((zero, s * U[:-1]))
     t, rest = [], []
     for GU in (up - down, up + down):
@@ -383,40 +363,27 @@ def _single_mode_pairs(U: np.ndarray, lp: np.ndarray, leakage: bool):
     return t[0], t[1], lp[:-1], lp[1:], np.maximum(*rest) if leakage else None
 
 
-def _squeezed_stacks(r: float, dim: int):
-    """The pass stacks (_sector_pairs) of the probe built at (r, dim), straight
-    from the group stacks of _sector_squeezer, one group ahead: each group
-    stack is copied once, cut to n0 with its padding zeroed, and the next
-    group's first block goes after it.  No block is held apart, and the
-    squeezer's stacks of two groups and one pass stack live at a time."""
-    end = [(None, np.zeros((1, 0, 0)))]
-    for (group, U), (_, after) in pairwise(chain(_sector_squeezer(r, dim), end)):
-        n0, n1 = dim - group.start, dim - group.stop
-        keep = np.arange(n0) < np.arange(n0, n1, -1)[:, None]   # index a in block i
-        stack = np.zeros((n0 - n1 + 1, n0, n0))
-        np.copyto(stack[:-1], U[:, :n0, :n0], where=keep[:, :, None] & keep[:, None, :])
-        stack[-1, :n1, :n1] = after[0, :n1, :n1]
-        yield group, stack
-
-
-def _sector_pairs(stacks, lp: np.ndarray, leakage: bool):
+def _sector_pairs(probe: FockOperatorSet, leakage: bool):
     """As _single_mode_pairs, for the pairs of adjacent sectors d, d + 1, with
     every value on the (n, m) grid of the columns' thermal labels: T couples
     (n, m) with (n + 1, m) (grid tn) and (n, m + 1) with (n, m) (grid tm).
 
-    The stacks are (group, stack) over the groups of |d| = s, in order, each
-    the group's blocks and the next group's first block zero-padded into one
-    (count + 1, n0, n0) array, n0 = dim - group.start.  With u, v the blocks of
-    sectors ±s and ±(s + 1), T comes from X0 = sum_i u[i] sqrt((i + s + 1)/2)
-    v[i] and X1 = sum_i u[i + 1] sqrt((i + 1)/2) v[i] on the column pairs
-    (j, j) and (j + 1, j).  Column norms as in the module docstring.
+    Each group of |d| = s goes through as one stack: its blocks and the next
+    group's first block, zero-padded to n0 = dim - group.start.  With u, v
+    the blocks of sectors ±s and ±(s + 1), T comes from X0 = sum_i u[i]
+    sqrt((i + s + 1)/2) v[i] and X1 = sum_i u[i + 1] sqrt((i + 1)/2) v[i] on
+    the column pairs (j, j) and (j + 1, j).  Column norms as in the module
+    docstring.
     """
-    dim = len(lp)
+    dim, lp = probe.dim, probe.log_probs
+    blocks = probe.blocks[dim - 1:] + [np.zeros((0, 0))]
     level = np.arange(dim)
     weight = np.append(level[:-1] + 0.5, (dim - 1) / 2.0)
-    x, norms = np.zeros((4, dim, dim)), np.zeros((2, dim, dim))   # at (s, j)
-    for group, stack in stacks:
+    x = np.zeros((4, dim, dim))   # at (s, j), as norms
+    norms = np.zeros((2, dim, dim)) if leakage else None
+    for group in _groups(list(range(dim, 0, -1))):
         n0, s = dim - group.start, level[group, None]
+        stack = _stack(blocks[group.start:group.stop + 1], n0)
         u, v, row = stack[:-1], stack[1:, :-1, :-1], level[:n0 - 1]
         for k, (rows, w) in enumerate(((u[:, :-1], np.sqrt((row + s + 1) / 2.0)),
                                        (u[:, 1:], np.sqrt((row + 1) / 2.0)))):
@@ -445,14 +412,16 @@ def _sector_pairs(stacks, lp: np.ndarray, leakage: bool):
             np.concatenate((lp[1:].ravel(), lp[:, :-1].ravel())), rest)
 
 
-def _fisher_sums(lp: np.ndarray, ta, tq, ls, lt, rest, rld: bool = True):
-    """H, J (None unless rld) and the leakage (None without rest) from the
-    pairs of a pass over a probe of log probabilities lp.
+def _fisher_pass(probe: FockOperatorSet, rld: bool = True, leakage: bool = True):
+    """H, J (None unless rld) and the leakage (None unless leakage) of a probe.
 
     Per pair, with G_q0 = -i T_a and G_p0 = -T_q: H = 4 sum (p_s - p_t)^2
     /(p_s + p_t) diag(T_a^2, T_q^2), diag J = sum (p_s - p_t)^2 (1/p_s + 1/p_t)
     (T_a^2, T_q^2), J_qp = i sum (p_s - p_t)^2 (1/p_s - 1/p_t) T_a T_q.
     """
+    pairs = _single_mode_pairs if probe.modes == 1 else _sector_pairs
+    ta, tq, ls, lt, rest = pairs(probe, leakage)
+    lp = probe.log_probs
     leakage = None if rest is None else np.max(np.exp(lp) * rest)
     hi, lo = np.maximum(ls, lt), np.minimum(ls, lt)
     # e = p_lo / p_hi <= 1, and 0 where both probabilities are 0
@@ -468,28 +437,6 @@ def _fisher_sums(lp: np.ndarray, ta, tq, ls, lt, rest, rld: bool = True):
     j = w * (1.0 + e) / e
     jqp = 1j * np.sum(np.sign(lt - ls) * w * (1.0 - e) / e * ta * tq)
     return H, np.array([[j @ ta ** 2, jqp], [-jqp, j @ tq ** 2]]), leakage
-
-
-def _fisher_pass(probe: FockOperatorSet, rld: bool = True, leakage: bool = True):
-    """H, J (None unless rld) and the leakage (None unless leakage) of a
-    built probe."""
-    dim, lp = probe.dim, probe.log_probs
-    if probe.modes == 1:
-        return _fisher_sums(lp, *_single_mode_pairs(probe.blocks[0], lp, leakage), rld)
-    blocks = probe.blocks[dim - 1:] + [np.zeros((0, 0))]
-    stacks = ((group, _stack(blocks[group.start:group.stop + 1], dim - group.start))
-              for group in _groups(list(range(dim, 0, -1))))
-    return _fisher_sums(lp, *_sector_pairs(stacks, lp, leakage), rld)
-
-
-def _check_fisher(kind: str, r: float, N: float, N2: float | None, dim: int):
-    """(H, J) of the probe at dim, without its leakage.  A single-mode probe
-    is one dense block, built whole; a two-mode one is never built, as each
-    group stack of its squeezer goes straight into the pass (_squeezed_stacks)."""
-    if kind == "single":
-        return _fisher_pass(_build_at_dim(kind, r, N, N2, dim), leakage=False)[:2]
-    lp = _two_mode_log_probs(N, N2, dim)
-    return _fisher_sums(lp, *_sector_pairs(_squeezed_stacks(r, dim), lp, False))[:2]
 
 
 def sld_fisher_fock(probe: FockOperatorSet) -> np.ndarray:
@@ -542,19 +489,22 @@ def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None
     of the same probe at its dim + 5, and insist they agree within 1e-8.
 
     The first probe's selection-rule leakage (module docstring) must also
-    stay within 1e-8.  The check probe goes directly to dim + 5, without a
-    tail measurement or a leakage, as the first build has checked every
-    input; a two-mode check probe streams through its pass (_check_fisher).
+    stay within 1e-8.  The first probe is released before the check probe is
+    built, so one probe is in memory at a time; the check goes directly to
+    dim + 5, without a tail measurement or a leakage, as the first build has
+    checked every input.  Either error carries the first probe's tail mass.
     """
     probe = build_probe_fock(kind, r, N, N2, max_dim=max_dim)
     H1, J1, leakage = _fisher_pass(probe)
+    dim, tail = probe.dim, probe.tail_mass()
+    del probe
     if leakage > _CONVERGED_TOL:
-        raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={probe.dim}",
-                              tail_mass=probe.tail_mass())
-    H2, J2 = _check_fisher(kind, r, N, N2, probe.dim + 5)
+        raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={dim}",
+                              tail_mass=tail)
+    H2, J2, _ = _fisher_pass(_build_at_dim(kind, r, N, N2, dim + 5), leakage=False)
     drift = max(np.max(np.abs(H1 - H2)), np.max(np.abs(J1 - J2)))
     if drift > _CONVERGED_TOL:
         raise TruncationError(
-            f"Fisher matrices drift by {drift:.3e} between dim={probe.dim} "
-            f"and dim={probe.dim + 5}", tail_mass=probe.tail_mass())
+            f"Fisher matrices drift by {drift:.3e} between dim={dim} "
+            f"and dim={dim + 5}", tail_mass=tail)
     return H1, J1

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import mpmath
@@ -577,6 +579,62 @@ def test_unwritable_dump_path_exits_2_before_sampling(capsys, monkeypatch, tmp_p
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_dump_onto_a_directory_exits_2_before_sampling(capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampled before opening the dump file")
+
+    monkeypatch.setattr(cli, "run_baseline_heterodyne", no_run)
+    code, out, err = run_cli(capsys, ["simulate", "--baseline", "--q0", "0", "--p0", "0",
+                                      "--shots", "200", "--dump-shots", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "existing"])
+def test_failed_run_leaves_the_dump_path_as_it_was(capsys, monkeypatch, tmp_path, old):
+    """A run that exits 3 writes no dump file, and an existing one keeps its
+    bytes: the shots go to a temporary file, renamed onto the path only when
+    the run succeeds, and removed when it fails."""
+    monkeypatch.chdir(tmp_path)
+    if old is not None:
+        (tmp_path / "x.csv").write_bytes(old)
+    code, out, err = run_cli(capsys, ["simulate", "--baseline", "--q0", "1e308", "--p0", "-1",
+                                      "--shots", "200", "--seed", "1",
+                                      "--dump-shots", "x.csv"])
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ([] if old is None else ["x.csv"])
+    if old is not None:
+        assert (tmp_path / "x.csv").read_bytes() == old
+
+
+def test_dump_into_a_pipe_writes_in_place(capsys, tmp_path):
+    """A dump path that is not a regular file (a named pipe here, or
+    /dev/null) is written in place, never replaced by a file."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, ["simulate", "--baseline", "--q0", "0", "--p0", "0",
+                                  "--shots", "200", "--seed", "1", "--dump-shots", str(pipe)])
+    reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert len(got[0].splitlines()) == 4 + 200
+
+
+def test_dump_through_a_symlink_writes_its_target(capsys, tmp_path):
+    (tmp_path / "target.csv").write_text("old\n")
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    code, _, _ = run_cli(capsys, ["simulate", "--baseline", "--q0", "0", "--p0", "0",
+                                  "--shots", "200", "--seed", "1",
+                                  "--dump-shots", str(tmp_path / "link.csv")])
+    assert code == 0 and (tmp_path / "link.csv").is_symlink()
+    assert len((tmp_path / "target.csv").read_text().splitlines()) == 4 + 200
 
 
 def test_simulate_dump_shots(capsys, tmp_path):

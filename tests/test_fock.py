@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -189,29 +190,39 @@ def test_leakage_rejects_too_small_dim(monkeypatch, kind, r, N, N2, dim):
 
 def test_drift_gate_rejects_a_moved_check_probe(monkeypatch):
     """A check probe whose (H, J) differ from the first probe's by more than
-    1e-8 (here one squeezed at r + 0.01, streamed through the pass) is a
-    TruncationError naming the drift."""
-    probe, squeezer = build_probe_fock("tmst", 0.3, 0.5), fock._sector_squeezer
+    1e-8 (here one squeezed at r + 0.01) is a TruncationError naming the
+    drift."""
+    probe, squeeze = build_probe_fock("tmst", 0.3, 0.5), fock._sector_squeeze_blocks
     monkeypatch.setattr(fock, "build_probe_fock", lambda *args, **kwargs: probe)
-    monkeypatch.setattr(fock, "_sector_squeezer", lambda r, dim: squeezer(r + 0.01, dim))
+    monkeypatch.setattr(fock, "_sector_squeeze_blocks", lambda r, dim: squeeze(r + 0.01, dim))
     with pytest.raises(TruncationError, match="drift") as err:
         fock_fisher_converged("tmst", 0.3, 0.5)
     assert err.value.tail_mass == probe.tail_mass()
 
 
-# three lattice points of each two-mode kind, the largest of each among them
-@pytest.mark.parametrize("kind,r,N,N2", [
-    ("tmst", 0.15, 0.35, None), ("tmst", 0.55, 0.55, None), ("tmst", 0.702, 0.752, None),
-    ("tmst_asym", 0.15, 0.35, 0.55), ("tmst_asym", 0.35, 0.75, 0.35),
-    ("tmst_asym", 0.702, 0.552, 0.752)])
-def test_streamed_check_matches_the_built_probe(kind, r, N, N2):
-    """The check probe streamed from the squeezer's group stacks gives the
-    (H, J) of the same probe built whole, bit for bit."""
-    dim = build_probe_fock(kind, r, N, N2).dim + 5
-    assert group_count(dim) >= 2   # a stack carries the next group's first block
-    built = fock._fisher_pass(fock._build_at_dim(kind, r, N, N2, dim))[:2]
-    for got, want in zip(fock._check_fisher(kind, r, N, N2, dim), built):
-        assert np.array_equal(got, want)
+@pytest.mark.parametrize("kind,r,N,N2", [("tmst", 0.45, 0.5, None),
+                                         ("tmst_asym", 0.3, 0.3, 0.15),
+                                         ("single", 0.4, 0.6, None)])
+def test_first_probe_is_released_before_the_check_is_built(monkeypatch, kind, r, N, N2):
+    """fock_fisher_converged drops its first probe before it builds the
+    dim + 5 check, so one probe at most is in memory."""
+    first, build, build_at = [], fock.build_probe_fock, fock._build_at_dim
+
+    def keep_a_weakref(*args, **kwargs):
+        probe = build(*args, **kwargs)
+        first.append((probe.dim, weakref.ref(probe)))
+        return probe
+
+    def check_released(kind, r, N, N2, dim):
+        if first and dim == first[0][0] + 5:
+            assert first[0][1]() is None, "the first probe is alive"
+            first.append("checked")
+        return build_at(kind, r, N, N2, dim)
+
+    monkeypatch.setattr(fock, "build_probe_fock", keep_a_weakref)
+    monkeypatch.setattr(fock, "_build_at_dim", check_released)
+    fock_fisher_converged(kind, r, N, N2)
+    assert first[-1] == "checked"
 
 
 def relative_errors(kind, r, N, H, J):
@@ -475,9 +486,9 @@ def oracle_peak_memory(kind, r, N):
 
 
 def test_largest_oracle_point_memory():
-    """The oracle's peak allocation stays within 2.5x the blocks of its first
-    probe (1.9x; a check probe held whole made it 2.9x): padded group stacks
-    do not outlive the build or the pass."""
+    """The oracle's peak allocation stays within 2.5x the blocks of its dim-77
+    check probe (2.0x; holding the first probe while the check was built made
+    it 2.9x): padded group stacks do not outlive the build or the pass."""
     probe = fock._build_at_dim("tmst", 0.702, 0.752, None, 77)
     blocks = sum(U.nbytes for U in probe.blocks[76:])   # each |d| once
     del probe
@@ -486,12 +497,12 @@ def test_largest_oracle_point_memory():
 
 def test_criterion_2_largest_point_memory(monkeypatch):
     """At criterion 2's tmst r = 1, N = 2 (dim 248, 41 MB of blocks) the peak
-    stays within 1.5x the first probe's blocks (1.3x; a check probe held
-    whole made it 2.4x): the first probe, about two group stacks and one pass."""
-    dims, check = [], fock._check_fisher
-    monkeypatch.setattr(fock, "_check_fisher", lambda *args: dims.append(args[-1]) or check(*args))
+    stays within 1.5x the first probe's blocks (1.35x; holding the first probe
+    while the check was built made it 2.4x): the check probe and one pass."""
+    dims, build = [], fock._build_at_dim
+    monkeypatch.setattr(fock, "_build_at_dim", lambda *args: dims.append(args[-1]) or build(*args))
     peak = oracle_peak_memory("tmst", 1.0, 2.0)
-    assert dims == [248 + 5]
+    assert dims == [248, 248 + 5]
     assert peak <= 1.5 * 8 * sum(n * n for n in range(1, 249))   # each |d| once
 
 
@@ -506,5 +517,9 @@ def test_oracle_reaches_tmst_at_r_1_5():
 
 
 def test_verification_build_skips_tail_mass(tail_calls):
+    """The check probe at dim + 5 measures no tail mass: both measurements
+    are of the first probe, one by its build and one kept for the errors."""
+    dim = build_probe_fock("tmst", 0.3, 0.5).dim
+    tail_calls.clear()
     fock_fisher_converged("tmst", 0.3, 0.5)
-    assert len(tail_calls) == 1
+    assert tail_calls == [dim, dim]
