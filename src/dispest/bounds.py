@@ -210,11 +210,11 @@ def _rld(x, u, weight=None, shots=1):
     X = m (J^-1/m + u m I)^-1 exactly, and every other point keeps its bits."""
     m = None
     if u is not None:
-        if u > 1e100:
+        if (u > 1e100).any():
             tiny = np.finfo(float).tiny
             big = np.maximum(np.maximum(abs(x[0]), abs(x[1])),
                              np.maximum(abs(x[2]), abs(x[3])))
-            m = np.where((big < 1.0) & (abs(_det(x)) < tiny),
+            m = np.where((u > 1e100) & (big < 1.0) & (abs(_det(x)) < tiny),
                          np.ldexp(1.0, np.frexp(np.maximum(big, tiny))[1] - 1), 1.0)
             x, u = tuple(e / m for e in x), u * m   # m >= tiny: the complex e / m is finite
         d = _det(x)
@@ -257,23 +257,24 @@ def _bounds(h, j_inv, delta, weight=None, shots=1):
 
 
 def _prior_weight(delta):
-    """Fisher weight u = 1/delta^2 of a Gaussian prior of width delta (None for
-    a flat prior); ValueError where u overflows (delta <~ 1e-154)."""
+    """Fisher weight u = 1/delta^2 of Gaussian priors of widths delta (None for
+    a flat prior); ValueError naming the smallest where u overflows (<~ 1e-154)."""
     if delta is None:
         return None
-    if not delta > 0:
+    if not np.all(delta > 0):
         raise ValueError("prior width must be positive")
     with np.errstate(all="ignore"):
         u = np.float64(1.0) / (delta * delta)
-    if not np.isfinite(u):
-        raise ValueError(f"prior width {delta:g} is too narrow: 1/delta^2 overflows")
+    if not np.isfinite(u).all():
+        raise ValueError(f"prior width {np.min(delta):g} is too narrow: 1/delta^2 overflows")
     return u
 
 
 def evaluate_bounds(H, j_inv, delta=None, weight=None, shots=1):
     """B_S, B_R, B_MI = max(B_S, B_R) and the branch ('RLD' where B_R > B_S)
     from stacked Fisher matrices (..., 2, 2).  delta is the Gaussian prior's
-    width (None: flat prior); the weight G may be stacked too."""
+    width (None: flat prior); an array of widths broadcasts against the
+    stack, and the weight G may be stacked too."""
     _check_count("shots", shots, 1)
     b_s, b_r, b_mi, rld = _bounds(_entries(H), _entries(j_inv), delta, weight, shots)
     return b_s, b_r, b_mi, np.where(rld, "RLD", "SLD")
@@ -358,24 +359,25 @@ class ScalingFactors:
     mse_kc: float
 
 
-def scaling_factors(var0, delta: float) -> ScalingFactors:
+def scaling_factors(var0, delta) -> ScalingFactors:
     """Scalings K_c = 1/(1 + u) and K_min = 1/(1 + Var0 u) of a prior of width
     D, u = 1/D^2, and their averaged two-parameter MSEs 2 Var0 K_min and
     2[K_c^2 Var0 + b^2], b = (1 - K_c)D = 1/(D + 1/D), for the unscaled
-    per-parameter variance Var0 (broadcasts); finite for any D, inf included."""
+    per-parameter variance Var0; Var0 and D broadcast, finite for any D, inf included."""
     var0 = np.asarray(var0, dtype=float)
     if not np.all(var0 > 0):
         raise ValueError("var0 must be positive")
-    delta = float(delta)  # Python floats leave the range without a warning
-    if not delta > 0:
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(delta > 0):
         raise ValueError("prior width must be positive")
-    w = 1.0 / delta
-    u = w * w
-    k_c = 1.0 / (1.0 + u)
-    k_min = 1.0 / (1.0 + var0 * u)
-    bias = 1.0 / (delta + w)
-    return ScalingFactors(k_c, k_min, 2.0 * var0 * k_min,
-                          2.0 * (k_c * k_c * var0 + bias * bias))
+    with np.errstate(over="ignore"):  # u = inf past D ~ 1e-154 gives K = 0
+        w = 1.0 / delta
+        u = w * w
+        k_c = 1.0 / (1.0 + u)
+        k_min = 1.0 / (1.0 + var0 * u)
+        bias = 1.0 / (delta + w)
+        return ScalingFactors(k_c, k_min, 2.0 * var0 * k_min,
+                              2.0 * (k_c * k_c * var0 + bias * bias))
 
 
 def check_in_range(r, *values) -> None:
@@ -392,8 +394,9 @@ def _column(quantity, kind, r, N, N2=None, delta=None):
     """One sweep quantity over r on checked inputs, from only the kernels it
     needs: 'b_sld', 'b_rld', 'b_mi', or, for the symmetric probe at a flat
     prior, 'scheme_variance' and 'duan_lhs' (both E, the Duan sum at a = 1)
-    and 'gap'.  ValueError where a value it computed (B_S and B_R for 'b_mi')
-    is outside the floating-point range."""
+    and 'gap'.  r, N, N2 and the prior width delta broadcast: widths (or N) shaped
+    (curves, 1) give one curve per row.  ValueError where a value it computed
+    (B_S and B_R for 'b_mi') is outside the floating-point range."""
     with np.errstate(all="ignore"):  # values out of range raise below
         if quantity in ("scheme_variance", "duan_lhs"):
             values = [_tmst_form(r, N, N2).E]

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from . import __version__
 from .bounds import (BoundQuery, RLDUnavailableError, _column, bound_most_informative,
                      check_in_range, scaling_factors)
 from .montecarlo import EstimationConfig, run_baseline_heterodyne, run_scheme, thread_count
-
-FIG3_DELTAS = (1.0, 2.0, 3.0, 5.0)
 
 
 class UsageError(Exception):
@@ -57,19 +56,18 @@ def finite(text: str) -> float:
 def _write_csv(path, header_cols, rows, command: str, config: dict):
     """Write a commented header and one line per row, every number as %.17g
     (the same text as format(float(x), ".17g"), so values round-trip), to the
-    file name path, an open text file, or standard output if path is None."""
+    file name path, an open text file, or standard output if path is None.
+    Rows are formatted and written 4096 at a time, so that the text of a long
+    table, such as a per-shot dump, is never held whole."""
     row_fmt = ",".join(["%.17g"] * len(header_cols)) + "\n"
-    lines = [f"# tool: dispest {__version__}\n",
-             f"# command: {command}\n",
-             f"# config: {json.dumps(config, sort_keys=True)}\n",
-             ",".join(header_cols) + "\n"]
-    lines += [row_fmt % tuple(row) for row in rows]
-    text = "".join(lines)
-    if path is None or hasattr(path, "write"):
-        (path or sys.stdout).write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    rows = iter(rows)
+    with (nullcontext(path or sys.stdout) if path is None or hasattr(path, "write")
+          else open(path, "w")) as fh:
+        fh.write(f"# tool: dispest {__version__}\n# command: {command}\n"
+                 f"# config: {json.dumps(config, sort_keys=True)}\n"
+                 + ",".join(header_cols) + "\n")
+        while block := list(islice(rows, 4096)):
+            fh.write("".join([row_fmt % tuple(row) for row in block]))
 
 
 @contextmanager
@@ -224,35 +222,31 @@ def cmd_figure(args) -> int:
         ns = (0.0, 0.5, 2.0)
         config = {"name": "fig2", "r_min": args.r_min, "r_max": args.r_max,
                   "steps": args.steps, "N_values": list(ns)}
-        columns = [grid] + [_column("gap", "tmst", grid, n) for n in ns]
+        gaps = _column("gap", "tmst", grid, np.array(ns)[:, None])
         _write_csv(os.path.join(out, "fig2.csv"), ["r"] + [f"D_N{n:g}" for n in ns],
-                   _rows(columns), "figure", config)
+                   _rows([grid, *gaps]), "figure", config)
         print(os.path.join(out, "fig2.csv"))
         return 0
 
-    deltas = FIG3_DELTAS
-    if args.deltas:
-        deltas = tuple(_numbers(args.deltas, args.deltas.count(",") + 1, "--deltas"))
+    text = args.deltas or "1,2,3,5"
+    deltas = _numbers(text, text.count(",") + 1, "--deltas")
     n_th = args.N if args.N is not None else 1.0
     if min(deltas) <= 0 or n_th < 0:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
     var0 = _column("scheme_variance", "tmst", grid, n_th) / 2.0
-    figures = []
-    for delta in deltas:  # every column is checked before any file is written
-        # raises where H overflows; a finite H keeps var0 > 0
-        b_mi = _column("b_mi", "tmst", grid, n_th, delta=delta)
-        with np.errstate(all="ignore"):  # a prior width whose square underflows
-            factors = scaling_factors(var0, delta)
-            columns = [factors.mse_min, factors.mse_kc, b_mi,
-                       np.full_like(grid, 2.0 * factors.k_c)]
-        check_in_range(grid, *columns)
-        figures.append((delta, [grid] + columns))
-    for delta, columns in figures:
+    widths = np.array(deltas)[:, None]   # one row of each column per width
+    # raises where H overflows; a finite H keeps var0 > 0
+    b_mi = _column("b_mi", "tmst", grid, n_th, delta=widths)
+    factors = scaling_factors(var0, widths)
+    columns = [factors.mse_min, factors.mse_kc, b_mi,
+               np.broadcast_to(2.0 * factors.k_c, b_mi.shape)]
+    check_in_range(grid, *columns)   # before any file is written
+    for delta, *values in zip(deltas, *columns):
         config = {"name": "fig3", "delta": delta, "N": n_th,
                   "r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
         name = os.path.join(out, f"fig3_{delta:g}.csv")
         _write_csv(name, ["r", "mse_Kmin", "mse_Kc", "B_MI", "B_SQL"],
-                   _rows(columns), "figure", config)
+                   _rows([grid, *values]), "figure", config)
         print(name)
     return 0
 

@@ -38,7 +38,7 @@ from np.linalg.eigh, so that no second linear-algebra library is loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
 
 import numpy as np
@@ -184,6 +184,7 @@ class FockOperatorSet:
     sector d, at blocks[dim - 1 + d], for two modes, where d and -d share one
     block; one dense block for one mode) and the thermal log probabilities of
     their columns by Fock label (a (dim, dim) grid over (n, m) for two modes).
+    tail is the tail_mass that build_probe_fock measured (None if unmeasured).
     """
 
     kind: str
@@ -192,6 +193,7 @@ class FockOperatorSet:
     modes: int
     blocks: list = field(repr=False)
     log_probs: np.ndarray = field(repr=False)
+    tail: float | None = None
 
     def _block_states(self) -> list:
         """Fock indices of the rows of each eigenvector block, and the log
@@ -306,7 +308,7 @@ def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
         probe = _build_at_dim(kind, r, N, N2, dim)
         tail = probe.tail_mass()
         if tail < _TAIL_TOL:
-            return probe
+            return replace(probe, tail=tail)
         if dim >= max_dim:
             raise TruncationError(
                 f"truncation dim={dim} leaves tail mass {tail:.3e} "
@@ -421,8 +423,7 @@ def _fisher_pass(probe: FockOperatorSet, rld: bool = True, leakage: bool = True)
     """
     pairs = _single_mode_pairs if probe.modes == 1 else _sector_pairs
     ta, tq, ls, lt, rest = pairs(probe, leakage)
-    lp = probe.log_probs
-    leakage = None if rest is None else np.max(np.exp(lp) * rest)
+    leakage = None if rest is None else np.max(np.exp(probe.log_probs) * rest)
     hi, lo = np.maximum(ls, lt), np.minimum(ls, lt)
     # e = p_lo / p_hi <= 1, and 0 where both probabilities are 0
     e = np.exp(lo - np.where(hi > -np.inf, hi, 0.0))
@@ -432,7 +433,7 @@ def _fisher_pass(probe: FockOperatorSet, rld: bool = True, leakage: bool = True)
     if not rld:
         return H, None, leakage
     # a level of probability 0 (a rank-deficient probe) leaves no rho^-1
-    if np.sum(np.exp(lp) ** 2) > 1.0 - _PURITY_TOL or np.isneginf(lo).any():
+    if probe.purity() > 1.0 - _PURITY_TOL or np.isneginf(lo).any():
         raise PureStateError("RLD undefined for pure or rank-deficient probes")
     j = w * (1.0 + e) / e
     jqp = 1j * np.sum(np.sign(lt - ls) * w * (1.0 - e) / e * ta * tq)
@@ -496,7 +497,7 @@ def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None
     """
     probe = build_probe_fock(kind, r, N, N2, max_dim=max_dim)
     H1, J1, leakage = _fisher_pass(probe)
-    dim, tail = probe.dim, probe.tail_mass()
+    dim, tail = probe.dim, probe.tail
     del probe
     if leakage > _CONVERGED_TOL:
         raise TruncationError(f"selection-rule leakage {leakage:.3e} at dim={dim}",

@@ -180,6 +180,8 @@ def test_narrow_priors_raise_without_warnings():
             prior_fisher_gaussian(1e-200)
         with pytest.raises(ValueError, match="too narrow"):
             evaluate_bounds(*probe_fisher("tmst", 1.0, 0.5), 1e-200)
+        with pytest.raises(ValueError, match="width 1e-250 is too narrow"):
+            evaluate_bounds(*probe_fisher("tmst", 1.0, 0.5), np.array([1e-200, 1, 1e-250]))
 
 
 def test_scaling_factors():
@@ -377,6 +379,45 @@ def test_narrow_prior_rld_where_det_j_inv_underflows():
             exact = float(mpmath.re(X[0, 0] + X[1, 1]) + abs(mpmath.im(X[0, 1] - X[1, 0])))
             assert abs(evaluate_bounds(*fm, delta)[1] / exact - 1.0) < 1e-12
     assert evaluate_bounds(*fm, 1e-100)[1] == float.fromhex("0x1.462b892fae93fp-854")
+
+
+BROADCAST_PROBES = [("coherent", 0.0, None), ("single", 0.7, None), ("tmst", 0.7, None),
+                    ("tmst", 1000.0, None), ("tmst_asym", 0.7, 0.0)]
+
+
+@pytest.mark.parametrize("kind,N,N2", BROADCAST_PROBES)
+def test_prior_widths_broadcast_bit_for_bit(kind, N, N2):
+    """Widths shaped (W, 1) give the W single-width evaluations stacked, bit
+    for bit, for every weight and shot count: the narrow-prior rescale
+    (u > 1e100, here with det J^-1 underflowed at r = 300) and the overflow
+    form of det K change only their own rows."""
+    r = np.array([0.0, 0.4, 1.0, 3.0] + ([300.0] if kind != "single" else []))
+    widths = np.array([1e-150, 1e-100, 1e-3, 1.0, 1e300])
+    G = np.array([[2.0, 0.3], [0.3, 0.5]])
+    fm = probe_fisher(kind, r, N, N2)
+    for weight in (None, G, G * np.linspace(0.5, 2.0, r.size)[:, None, None]):
+        for shots in (1, 7):
+            got = evaluate_bounds(*fm, widths[:, None], weight, shots)
+            singles = [evaluate_bounds(*fm, float(d), weight, shots) for d in widths]
+            for i, values in enumerate(got):
+                np.testing.assert_array_equal(values, np.stack([s[i] for s in singles]),
+                                              strict=True)
+
+
+def test_scaling_factors_broadcast_widths():
+    """Widths shaped (W, 1) give the single-width scalings stacked, bit for
+    bit and finite with no warning, from a width whose square underflows
+    (u = inf) to an infinite one."""
+    var0 = np.array([1e-6, 0.3, 1.0, 7.0, 1e3])
+    widths = np.array([1e-300, 1e-150, 1e-3, 1.0, 2.0, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scaling_factors(var0, widths[:, None])
+        singles = [scaling_factors(var0, float(d)) for d in widths]
+    for name, values in vars(got).items():
+        want = np.stack([np.broadcast_to(getattr(s, name), var0.shape) for s in singles])
+        np.testing.assert_array_equal(np.broadcast_to(values, want.shape), want, strict=True)
+        assert np.all(np.isfinite(values))
 
 
 def _fock_vacuum():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -673,6 +674,25 @@ def test_simulate_dump_shots(capsys, tmp_path):
     assert np.isclose(mse, load_record(out)["results"]["mse_sum"])
 
 
+def test_simulate_dump_shots_is_written_in_blocks(capsys, tmp_path):
+    """The dump is formatted and written a block of rows at a time: the
+    traced peak of a 200k-shot run stays within twice the per-shot arrays it
+    keeps, where the whole text of the table would be about ten times them."""
+    shots = 200_000
+    args = ["simulate", "--r", "0.5", "--N", "0.2", "--seed", "2", "--q0", "0.1",
+            "--p0", "0.2", "--dump-shots", str(tmp_path / "shots.csv"), "--shots"]
+    run_cli(capsys, [*args, "100"])  # lazy imports, untraced
+    tracemalloc.start()
+    try:
+        code = cli.main([*args, str(shots)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    kept = 6 * 8 * shots
+    assert code == 0 and peak <= 2 * kept, (peak, kept)
+
+
 def test_figure_fig2_roundtrip(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["figure", "fig2", "--out", str(tmp_path),
                                   "--steps", "60"])
@@ -715,6 +735,18 @@ def test_figure_fig3(capsys, tmp_path):
         assert np.all(rows[:, 1] <= rows[:, 2] + 1e-12)  # K_min never worse
         assert np.all(rows[:, 1] >= rows[:, 3] - 1e-9)   # bounded below by B_MI
         assert np.allclose(rows[:, 4], 2 * delta ** 2 / (1 + delta ** 2))
+
+
+def test_fig3_widths_match_single_width_runs(capsys, tmp_path):
+    """fig3 evaluates all its widths in one broadcast pass; each file is the
+    one a run with that width alone writes, byte for byte."""
+    deltas = ["1", "1e-100", "1e200"]
+    common = ["figure", "fig3", "--steps", "50", "--deltas"]
+    assert run_cli(capsys, [*common, ",".join(deltas), "--out", str(tmp_path / "all")])[0] == 0
+    for delta in deltas:
+        assert run_cli(capsys, [*common, delta, "--out", str(tmp_path / delta)])[0] == 0
+        name = f"fig3_{float(delta):g}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / delta / name).read_bytes()
 
 
 def test_figure_env_var_output(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -182,10 +183,12 @@ def test_adjacent_pass_matches_dense_route(kind, mode):
                          ids=["tmst_asym", "single"])
 def test_leakage_rejects_too_small_dim(monkeypatch, kind, r, N, N2, dim):
     probe = fock._build_at_dim(kind, r, N, N2, dim)
-    assert fock._fisher_pass(probe)[2] > 1e-8
-    monkeypatch.setattr(fock, "build_probe_fock", lambda *args, **kwargs: probe)
-    with pytest.raises(TruncationError, match="leakage"):
+    assert fock._fisher_pass(probe)[2] > 1e-8 and probe.tail is None
+    measured = dataclasses.replace(probe, tail=probe.tail_mass())  # as the build keeps it
+    monkeypatch.setattr(fock, "build_probe_fock", lambda *args, **kwargs: measured)
+    with pytest.raises(TruncationError, match="leakage") as err:
         fock_fisher_converged(kind, r, N, N2)
+    assert err.value.tail_mass == probe.tail_mass()
 
 
 def test_drift_gate_rejects_a_moved_check_probe(monkeypatch):
@@ -517,9 +520,9 @@ def test_oracle_reaches_tmst_at_r_1_5():
 
 
 def test_verification_build_skips_tail_mass(tail_calls):
-    """The check probe at dim + 5 measures no tail mass: both measurements
-    are of the first probe, one by its build and one kept for the errors."""
+    """The check probe at dim + 5 measures no tail mass, and the errors take
+    the first probe's from its build: one measurement per call."""
     dim = build_probe_fock("tmst", 0.3, 0.5).dim
     tail_calls.clear()
     fock_fisher_converged("tmst", 0.3, 0.5)
-    assert tail_calls == [dim, dim]
+    assert tail_calls == [dim]
