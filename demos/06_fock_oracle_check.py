@@ -6,8 +6,8 @@ The truncated Fock-space oracle evaluates the spectral SLD sum and the RLD
 trace formula directly on probes built in a truncated Fock space, over the
 thermal-adjacent level pairs that the generators couple, so the RLD needs no
 floor on the probe inverse.  This demo compares it entrywise against the
-covariance-based closed forms on a small grid and shows the truncation
-controls.
+covariance-based closed forms on a small grid and shows how the truncation
+is chosen.
 """
 
 import numpy as np
@@ -34,17 +34,14 @@ for r, N in [(0.3, 0.5), (0.8, 1.0)]:
 
 # %% The RLD needs the probe inverse; pure probes are rejected.
 try:
-    rld_fisher_fock(build_probe_fock("tmst", 0.5, 0.0, dim=30))
+    rld_fisher_fock(build_probe_fock("tmst", 0.5, 0.0))
 except PureStateError as err:
     print(f"pure probe: {err}")
 
 # %% Truncation bookkeeping: the builder chooses the dimension from an analytic
 # bound on the tail mass and checks the measured tail on the built probe; if
-# the check fails (say, for an explicit dim that is too small) it escalates
-# until the tolerance holds, or reports the measured tail if it cannot.
+# the check fails it escalates until the tolerance holds, or reports the
+# measured tail if it cannot.
 probe = build_probe_fock("single", 1.0, 2.0)
 print(f"hot squeezed thermal probe: analytic dim = {probe.dim}, "
-      f"tail = {probe.tail_mass():.2e}")
-probe = build_probe_fock("single", 1.0, 2.0, dim=40)
-print(f"same probe from dim = 40: escalated to dim = {probe.dim}, "
       f"tail = {probe.tail_mass():.2e}")

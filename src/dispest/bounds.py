@@ -392,11 +392,12 @@ def check_in_range(r, *values) -> None:
 
 def _column(quantity, kind, r, N, N2=None, delta=None):
     """One sweep quantity over r on checked inputs, from only the kernels it
-    needs: 'b_sld', 'b_rld', 'b_mi', or, for the symmetric probe at a flat
-    prior, 'scheme_variance' and 'duan_lhs' (both E, the Duan sum at a = 1)
-    and 'gap'.  r, N, N2 and the prior width delta broadcast: widths (or N) shaped
-    (curves, 1) give one curve per row.  ValueError where a value it computed
-    (B_S and B_R for 'b_mi') is outside the floating-point range."""
+    needs: 'b_sld', 'b_rld', 'b_mi', or, at a flat prior, 'scheme_variance'
+    and 'duan_lhs' (both E of a two-mode probe, the Duan sum at a = 1) and,
+    for the symmetric probe, 'gap'.  r, N, N2 and the prior width delta
+    broadcast: widths (or N) shaped (curves, 1) give one curve per row.
+    ValueError where a value it computed (B_S and B_R for 'b_mi') is outside
+    the floating-point range."""
     with np.errstate(all="ignore"):  # values out of range raise below
         if quantity in ("scheme_variance", "duan_lhs"):
             values = [_tmst_form(r, N, N2).E]

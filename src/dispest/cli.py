@@ -233,6 +233,11 @@ def cmd_figure(args) -> int:
     n_th = args.N if args.N is not None else 1.0
     if min(deltas) <= 0 or n_th < 0:
         raise UsageError("fig3 needs positive --deltas and nonnegative --N")
+    names = [f"fig3_{delta:g}.csv" for delta in deltas]   # :g keeps 6 digits
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"--deltas {deltas[names.index(name)]} and {deltas[i]} "
+                             f"share the file name {name}")
     var0 = _column("scheme_variance", "tmst", grid, n_th) / 2.0
     widths = np.array(deltas)[:, None]   # one row of each column per width
     # raises where H overflows; a finite H keeps var0 > 0
@@ -241,10 +246,10 @@ def cmd_figure(args) -> int:
     columns = [factors.mse_min, factors.mse_kc, b_mi,
                np.broadcast_to(2.0 * factors.k_c, b_mi.shape)]
     check_in_range(grid, *columns)   # before any file is written
-    for delta, *values in zip(deltas, *columns):
+    for name, delta, *values in zip(names, deltas, *columns):
         config = {"name": "fig3", "delta": delta, "N": n_th,
                   "r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
-        name = os.path.join(out, f"fig3_{delta:g}.csv")
+        name = os.path.join(out, name)
         _write_csv(name, ["r", "mse_Kmin", "mse_Kc", "B_MI", "B_SQL"],
                    _rows([grid, *values]), "figure", config)
         print(name)

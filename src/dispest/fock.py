@@ -5,7 +5,8 @@ density matrices, so their eigenvalues are thermal level probabilities p_s.
 The SLD Fisher matrix is the spectral sum over eigenpairs, the RLD Fisher
 matrix the operator-trace sum, of T_st = <u_s|G|u_t> for the displacement
 generators G_q0 = p_hat and G_p0 = -q_hat of the displaced mode.  This module
-is the slow ground-truth path used to validate the closed Gaussian forms.
+is the slow ground-truth path used to validate the closed Gaussian forms; it
+takes the probe's parameters alone and works out its own truncation.
 
 Two-mode squeezing conserves the photon-number difference n - m, so the
 squeezer, the probe eigenbasis and the generator couplings all decompose over
@@ -43,7 +44,7 @@ from math import ceil
 
 import numpy as np
 
-from .gaussian import _check_count, _tmst_form, check_probe
+from .gaussian import _tmst_form, check_probe
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -51,6 +52,7 @@ _TAIL_TOL = 1e-10       # largest probability accepted in the top 10% of Fock le
 _PURITY_TOL = 1e-8
 _CONVERGED_TOL = 1e-8   # fock_fisher_converged: largest leakage and drift accepted
 _STACK_BYTES = 1 << 17  # one zero-padded stack of blocks (_groups)
+_MAX_DIM = {1: 600, 2: 420}  # build_probe_fock: largest per-mode dim, by mode count
 
 
 class TruncationError(RuntimeError):
@@ -267,43 +269,31 @@ def _analytic_tail(kind: str, r: float, N: float, N2: float | None):
 
 
 def build_probe_fock(kind: str, r: float = 0.0, N: float = 0.0,
-                     N2: float | None = None, dim: int | None = None,
-                     max_dim: int | None = None) -> FockOperatorSet:
+                     N2: float | None = None) -> FockOperatorSet:
     """Build a probe density matrix by exponentiated squeezing of thermal states.
 
-    Parameters
-    ----------
-    kind : {'single', 'tmst', 'tmst_asym'}
-        Single-mode squeezed thermal, symmetric two-mode squeezed thermal, or
-        asymmetric two-mode squeezed thermal (N2 given for it and only for it).
-    dim : int, optional
-        Per-mode truncation to try first; defaults to the smallest dim whose
-        analytic tail bound is below 1e-10 (TruncationError, before building,
-        if that is above max_dim).  The probability in the top 10% of Fock
-        levels is measured on each built probe, and the truncation escalates
-        until it is below 1e-10, stopping with TruncationError at max_dim
-        (default 600 for one mode, 420 for two).
+    kind is 'single' (single-mode squeezed thermal), 'tmst' (symmetric
+    two-mode squeezed thermal) or 'tmst_asym' (asymmetric, with N2).  The
+    per-mode truncation starts at the smallest dim whose analytic tail bound
+    is below 1e-10 (TruncationError, before building, if that is above
+    _MAX_DIM).  The probability in the top 10% of Fock levels is measured on
+    each built probe, and the truncation escalates until it is below 1e-10,
+    stopping with TruncationError at _MAX_DIM.
     """
     check_probe(r, N, N2, kind)
     if kind == "coherent":
         raise ValueError("the Fock oracle builds no coherent probe")
-    for name, value in (("dim", dim), ("max_dim", max_dim)):
-        if value is not None:
-            _check_count(name, value, 2)
-    if max_dim is None:
-        max_dim = 600 if kind == "single" else 420
-    if dim is None:
-        n_hi, modes = _analytic_tail(kind, r, N, N2)
-        # smallest cut with modes * x^cut < _TAIL_TOL; -log x = log(1 + 1/n)
-        cut = (np.floor(np.log(modes / _TAIL_TOL) / np.log1p(1.0 / n_hi)) + 1
-               if n_hi > 0 else 1)
-        dim = max(2, np.ceil(max(cut, 1) / 0.9))
-        if dim > max_dim:
-            raise TruncationError(
-                f"analytic truncation dim={dim:.0f} exceeds max_dim={max_dim}",
-                tail_mass=modes * (n_hi / (n_hi + 1.0)) ** ceil(0.9 * max_dim))
-        dim = int(dim)
-
+    n_hi, modes = _analytic_tail(kind, r, N, N2)
+    max_dim = _MAX_DIM[modes]
+    # smallest cut with modes * x^cut < _TAIL_TOL; -log x = log(1 + 1/n)
+    cut = (np.floor(np.log(modes / _TAIL_TOL) / np.log1p(1.0 / n_hi)) + 1
+           if n_hi > 0 else 1)
+    dim = max(2, np.ceil(max(cut, 1) / 0.9))
+    if dim > max_dim:
+        raise TruncationError(
+            f"analytic truncation dim={dim:.0f} exceeds max_dim={max_dim}",
+            tail_mass=modes * (n_hi / (n_hi + 1.0)) ** ceil(0.9 * max_dim))
+    dim = int(dim)
     while True:
         probe = _build_at_dim(kind, r, N, N2, dim)
         tail = probe.tail_mass()
@@ -484,10 +474,9 @@ def moment_fock(probe: FockOperatorSet, monomial) -> complex:
     return moments_fock(probe, [monomial])[0]
 
 
-def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None,
-                          max_dim: int | None = None):
-    """Compute (H, J) of build_probe_fock(kind, r, N, N2, max_dim=max_dim) and
-    of the same probe at its dim + 5, and insist they agree within 1e-8.
+def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None):
+    """Compute (H, J) of build_probe_fock(kind, r, N, N2) and of the same
+    probe at its dim + 5, and insist they agree within 1e-8.
 
     The first probe's selection-rule leakage (module docstring) must also
     stay within 1e-8.  The first probe is released before the check probe is
@@ -495,7 +484,7 @@ def fock_fisher_converged(kind: str, r: float, N: float, N2: float | None = None
     dim + 5, without a tail measurement or a leakage, as the first build has
     checked every input.  Either error carries the first probe's tail mass.
     """
-    probe = build_probe_fock(kind, r, N, N2, max_dim=max_dim)
+    probe = build_probe_fock(kind, r, N, N2)
     H1, J1, leakage = _fisher_pass(probe)
     dim, tail = probe.dim, probe.tail
     del probe

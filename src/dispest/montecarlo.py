@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import scaling_factors
-from .gaussian import _check_count, _tmst_form, check_probe
+from .bounds import _column, scaling_factors
+from .gaussian import _check_count, check_probe
 
 _CHUNK = 1 << 15
 _SQRT2 = np.sqrt(2.0)
@@ -125,11 +125,7 @@ def _quadrature_variance(cfg: EstimationConfig) -> float:
     """
     if cfg.kind == "coherent":
         raise ValueError("scheme runs need r and N")
-    with np.errstate(over="ignore", invalid="ignore"):  # only E is read
-        var = _tmst_form(cfg.r, cfg.N, cfg.N2).E / 4.0
-    if not np.isfinite(var):
-        raise ValueError("the quadrature variance is outside the floating-point range")
-    return var
+    return _column("scheme_variance", cfg.kind, cfg.r, cfg.N, cfg.N2) / 4.0
 
 
 def _stream(cfg: EstimationConfig, c: int, buffers, div: float, sd: np.ndarray,

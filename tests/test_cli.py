@@ -341,6 +341,18 @@ def test_fig3_bad_deltas_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("deltas", ["1,1.0000001", "1,1", "2,1,3,1.0000001"])
+def test_fig3_widths_that_share_a_file_name_exit_2(capsys, tmp_path, deltas):
+    """fig3_{delta:g}.csv keeps 6 digits, so two widths can name one file:
+    exit 2, naming both widths, before any file is written."""
+    code, out, err = run_cli(capsys, ["figure", "fig3", "--out", str(tmp_path),
+                                      "--deltas", deltas, "--steps", "5"])
+    assert code == 2 and out == ""
+    assert err == f"error: --deltas 1.0 and {float(deltas.split(',')[-1])} " \
+                  "share the file name fig3_1.csv\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_asym_product_state_at_zero_squeezing(capsys):
     """thermal(1) x vacuum: J^-1 = nu_1 I + (i/2) Omega, so B_R = 2N1 + 2."""
     code, out, _ = run_cli(capsys, ["bounds", "--probe", "tmst-asym", "--r", "0",
@@ -821,7 +833,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(args) for args in commands]
 from dispest import build_probe_fock, displace_fock, fock_fisher_converged
 fock_fisher_converged("tmst", 0.3, 0.5)
-displace_fock(build_probe_fock("tmst", 0.3, 0.5, dim=12), 1, 0.4, -0.2)
+displace_fock(build_probe_fock("tmst", 0.3, 0.5), 1, 0.4, -0.2)
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """

@@ -45,7 +45,7 @@ def dense_fisher(rho, dim, modes, mode):
 
 
 def test_vacuum_probe_is_ground_state():
-    probe = build_probe_fock("single", 0.0, 0.0, dim=10)
+    probe = fock._build_at_dim("single", 0.0, 0.0, None, 10)
     expected = np.zeros((10, 10))
     expected[0, 0] = 1.0
     assert np.allclose(probe.rho0, expected)
@@ -61,7 +61,7 @@ def test_probe_density_matrix_invariants():
 
 
 def test_commutator_on_bulk():
-    probe = build_probe_fock("single", 0.0, 0.0, dim=30)
+    probe = fock._build_at_dim("single", 0.0, 0.0, None, 30)
     q, p = fock.quadratures(probe.dim)
     comm = q @ p - p @ q
     bulk = np.diag(comm)[:-1]
@@ -69,17 +69,17 @@ def test_commutator_on_bulk():
 
 
 def test_moments_examples():
-    vac = build_probe_fock("single", 0.0, 0.0, dim=10)
+    vac = fock._build_at_dim("single", 0.0, 0.0, None, 10)
     assert np.isclose(moment_fock(vac, [("q", 0), ("q", 0)]).real, 0.5)
     th = build_probe_fock("single", 0.0, 2.0)
     assert np.isclose(moment_fock(th, [("p", 0), ("p", 0)]).real, 2.5, atol=1e-9)
-    tm = build_probe_fock("tmst", 0.5, 0.0, dim=25)
+    tm = fock._build_at_dim("tmst", 0.5, 0.0, None, 25)
     assert np.isclose(moment_fock(tm, [("q", 0), ("q", 0)]).real,
                       np.cosh(1.0) / 2, atol=1e-8)
 
 
 def test_tmst_cross_moment_matches_covariance():
-    probe = build_probe_fock("tmst", 0.5, 0.2, dim=25)
+    probe = build_probe_fock("tmst", 0.5, 0.2)
     got = moment_fock(probe, [("q", 0), ("q", 1)]).real
     expected = make_tmst(0.5, 0.2).cov[0, 2]
     assert np.isclose(abs(got), (2 * 0.2 + 1) * np.sinh(1.0) / 2, atol=1e-8)
@@ -98,7 +98,7 @@ def test_single_mode_moments_match_gaussian():
 
 
 def test_sld_vacuum():
-    probe = build_probe_fock("single", 0.0, 0.0, dim=12)
+    probe = fock._build_at_dim("single", 0.0, 0.0, None, 12)
     H = sld_fisher_fock(probe)
     assert np.allclose(H, 2.0 * np.eye(2), atol=1e-10)
     assert np.isclose(np.trace(np.linalg.inv(H)), 1.0)
@@ -106,9 +106,9 @@ def test_sld_vacuum():
 
 def test_rld_rejects_pure_states():
     with pytest.raises(PureStateError):
-        rld_fisher_fock(build_probe_fock("single", 0.0, 0.0, dim=12))
+        rld_fisher_fock(fock._build_at_dim("single", 0.0, 0.0, None, 12))
     with pytest.raises(PureStateError):
-        rld_fisher_fock(build_probe_fock("tmst", 0.6, 0.0, dim=30))
+        rld_fisher_fock(fock._build_at_dim("tmst", 0.6, 0.0, None, 30))
 
 
 def test_rld_thermal_yuen_lax():
@@ -256,9 +256,10 @@ def test_low_occupation_scan_converges():
     assert worst < 1e-8
 
 
-def test_oracle_reaches_single_at_r_2():
+def test_oracle_reaches_single_at_r_2(monkeypatch):
     # analytic dim ~2100, and the thermal levels above ~1075 underflow to 0
-    H, J = fock_fisher_converged("single", 2.0, 1.0, max_dim=2200)
+    monkeypatch.setitem(fock._MAX_DIM, 1, 2200)
+    H, J = fock_fisher_converged("single", 2.0, 1.0)
     assert max(relative_errors("single", 2.0, 1.0, H, J)) < 1e-6
 
 
@@ -271,14 +272,14 @@ def assert_displacement_invariant(probe, mode, q0, p0):
 
 
 def test_fisher_independent_of_displacement():
-    assert_displacement_invariant(build_probe_fock("single", 0.3, 0.5, dim=70), 0, 0.7, -0.3)
+    assert_displacement_invariant(fock._build_at_dim("single", 0.3, 0.5, None, 70), 0, 0.7, -0.3)
 
 
 # a small point: the truncated displacement moves the reference's J by
 # ~2e-8 already at (tmst, 0.3, 0.3, dim 24), above the 1e-9 tolerance
 @pytest.mark.parametrize("mode", [0, 1])
 def test_two_mode_fisher_independent_of_displacement(mode):
-    assert_displacement_invariant(build_probe_fock("tmst", 0.2, 0.2, dim=20), mode, 0.3, -0.2)
+    assert_displacement_invariant(fock._build_at_dim("tmst", 0.2, 0.2, None, 20), mode, 0.3, -0.2)
 
 
 @pytest.mark.parametrize("kind, mode", [("single", 0), ("tmst", 0), ("tmst", 1)])
@@ -298,15 +299,23 @@ def test_displacement_matches_expm(kind, mode):
     assert np.abs(moved - D2 @ probe.rho0 @ D2.conj().T).max() < 1e-12
 
 
-def test_truncation_error_reports_tail():
-    with pytest.raises(TruncationError) as err:
-        build_probe_fock("single", 1.0, 2.0, dim=10, max_dim=10)
+def test_truncation_error_reports_tail(monkeypatch, tail_calls):
+    """A probe whose tail still fails at _MAX_DIM raises with the tail
+    measured there: from an analytic start of 24 (the bound for n = 0.5)
+    under a one-mode cap of 40."""
+    monkeypatch.setattr(fock, "_analytic_tail", lambda *args: (0.5, 1))
+    monkeypatch.setitem(fock._MAX_DIM, 1, 40)
+    with pytest.raises(TruncationError, match=r"^truncation dim=40 leaves tail mass") as err:
+        build_probe_fock("single", 1.0, 2.0)
+    assert tail_calls == [24, 31, 40]
+    assert err.value.tail_mass == fock._build_at_dim("single", 1.0, 2.0, None, 40).tail_mass()
     assert err.value.tail_mass > 1e-10
 
 
-def test_auto_escalation():
-    probe = build_probe_fock("tmst", 0.5, 0.2, dim=25)
-    assert probe.dim >= 25
+def test_auto_escalation(monkeypatch):
+    monkeypatch.setattr(fock, "_analytic_tail", lambda *args: (0.5, 2))  # starts at dim 25
+    probe = build_probe_fock("tmst", 0.5, 0.2)
+    assert probe.dim > 25
     assert probe.tail_mass() < 1e-10
 
 
@@ -329,7 +338,7 @@ def test_asymmetric_probe_against_gaussian():
 def test_rld_rejects_rank_deficient_probe():
     # one vacuum thermal input leaves the probe mixed but not full rank,
     # so rho^-1 does not exist and the trace formula does not apply
-    probe = build_probe_fock("tmst_asym", 0.5, 0.0, 0.8, dim=25)
+    probe = build_probe_fock("tmst_asym", 0.5, 0.0, 0.8)
     assert probe.purity() < 0.9
     with pytest.raises(PureStateError):
         rld_fisher_fock(probe)
@@ -427,10 +436,13 @@ def test_analytic_truncation_passes_first_tail_check(tail_calls):
         assert tail_calls == [probe.dim], (kind, r, N, N2)
 
 
-def test_too_small_explicit_dim_still_escalates(tail_calls):
-    probe = build_probe_fock("tmst", 0.5, 0.5, dim=12)
-    assert len(tail_calls) > 1 and tail_calls[0] == 12
-    assert probe.dim == tail_calls[-1] and probe.tail_mass() < 1e-10
+def test_too_small_analytic_dim_still_escalates(monkeypatch, tail_calls):
+    """A start below the needed dim (the analytic dim for n = 0.2, 16, where
+    the probe's own is 40) escalates until the measured tail holds."""
+    monkeypatch.setattr(fock, "_analytic_tail", lambda *args: (0.2, 2))
+    probe = build_probe_fock("tmst", 0.5, 0.5)
+    assert tail_calls == [16, 21, 28, 36, 46]
+    assert probe.dim == 46 and probe.tail == probe.tail_mass() < 1e-10
 
 
 @pytest.mark.filterwarnings("error")
@@ -439,22 +451,13 @@ def test_analytic_dim_above_max_dim_raises_before_building(monkeypatch):
         raise AssertionError("a probe was built")
 
     monkeypatch.setattr(fock, "_build_at_dim", no_build)
-    with pytest.raises(TruncationError) as err:
+    with pytest.raises(TruncationError, match="exceeds max_dim=600") as err:
         build_probe_fock("single", 2.0, 1.0)
     assert 0.0 < err.value.tail_mass
-    with pytest.raises(TruncationError):
-        build_probe_fock("tmst", 1.5, 1.0, max_dim=100)
-    # truncation arguments: dim and max_dim integers >= 2
-    for bad in ({"dim": 0}, {"dim": 1}, {"dim": 2.5}, {"dim": -3}, {"dim": True},
-                {"max_dim": 1}, {"max_dim": 100.0}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            build_probe_fock("tmst", 0.5, 0.5, **bad)
-        if "max_dim" in bad:
-            with pytest.raises(ValueError, match="max_dim"):
-                fock_fisher_converged("tmst", 0.5, 0.5, **bad)
-    for good in ({"dim": np.int64(12)}, {"max_dim": np.int32(50)}):
-        with pytest.raises(AssertionError, match="a probe was built"):
-            build_probe_fock("tmst", 0.5, 0.5, **good)
+    monkeypatch.setitem(fock._MAX_DIM, 2, 100)
+    for build in (build_probe_fock, fock_fisher_converged):
+        with pytest.raises(TruncationError, match="exceeds max_dim=100"):
+            build("tmst", 1.5, 1.0)
 
 
 # the last five break the kind rule: N2 for tmst_asym and only there, a
@@ -472,8 +475,6 @@ def test_bad_probe_parameters_raise_before_building(monkeypatch, args):
     monkeypatch.setattr(fock, "_build_at_dim", no_build)
     with pytest.raises(ValueError):
         build_probe_fock(*args)
-    with pytest.raises(ValueError):
-        build_probe_fock(*args, dim=10)
     with pytest.raises(ValueError):
         fock_fisher_converged(*args)
 

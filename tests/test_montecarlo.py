@@ -446,8 +446,8 @@ def test_unrepresentable_targets_raise_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="floating-point range"):
         run_baseline_heterodyne(EstimationConfig(shots=1000, seed=0, prior_delta=1e200,
                                                  scaling=0.5))
-    # (2N + 1)e^{-2r}/2 overflows at N = 1e308 though N is finite
-    with pytest.raises(ValueError, match="quadrature variance"):
+    # the scheme variance 2(2N + 1)e^{-2r} overflows at N = 1e308 though N is finite
+    with pytest.raises(ValueError, match=r"values at r=0 are outside the floating-point range"):
         run_scheme(scheme_cfg(shots=1000, r=0.0, N=1e308))
 
 
